@@ -22,7 +22,8 @@
 //!   wildcard variant ([`run_wildcard_differential`]) replays
 //!   range-rule churn and classification streams against a linear-scan
 //!   [`RangeOracle`] on every wildcard backend (TSS expansion and
-//!   RVH), comparing `(priority, action)` winners.
+//!   RVH), comparing `(priority, action)` winners and auditing every
+//!   installed TSS entry ([`audit_wildcard`]).
 //! * **Invariant auditor** ([`audit_system`], [`audit_cuckoo`],
 //!   [`audit_table_placement`]) — walks
 //!   [`MemorySystem`](halo_mem::MemorySystem)/cache state and the table
@@ -70,7 +71,8 @@ pub use oracle::{
 };
 pub use shrink::{run_differential, shrink_ops, MinimalTrace};
 pub use wildcard::{
-    run_wildcard_differential, wildcard_driver, wildcard_ops, RangeOracle, WildcardOp,
+    audit_wildcard, nested_ruleset, run_wildcard_differential, wildcard_driver, wildcard_ops,
+    RangeOracle, WildcardOp,
 };
 
 /// Whether per-op invariant auditing is active inside the harnesses:

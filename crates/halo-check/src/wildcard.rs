@@ -4,25 +4,31 @@
 //!
 //! The exact-match differentials validate one tuple's table; this
 //! driver validates the whole wildcard seam — TSS prefix expansion
-//! (max-priority covering entries under overlap) and RVH marker
+//! (each element resolved among the rules that own it) and RVH marker
 //! tables (anchor-vector candidate lists) must both agree with a
 //! priority-ordered linear scan on every insert, remove, and
 //! classification. Backends are compared on `(priority, action)`, not
-//! probe indices, since probe numbering is backend-private. Rulesets
-//! come from [`halo_nf::generate_ruleset`] with unique priorities, so
-//! backends cannot legally diverge on tie-breaks.
+//! probe indices, since probe numbering is backend-private. Rule pools
+//! come from [`halo_nf::generate_ruleset`] or [`nested_ruleset`], all
+//! with unique priorities, so backends cannot legally diverge on
+//! tie-breaks. [`audit_wildcard`] additionally recomputes every
+//! installed TSS entry from the live rules.
 
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::fmt;
 
-use halo_classify::{RangeRule, NUM_FIELDS};
-use halo_datapath::{TableBackend, WildcardBackend, WildcardTable};
+use halo_classify::{decode_rule, FieldRange, RangeRule, NUM_FIELDS};
+use halo_datapath::{TableBackend, TssRangeTable, WildcardBackend, WildcardMatcher, WildcardTable};
 use halo_mem::SimMemory;
-use halo_nf::{generate_ruleset, sample_point, RulesetShape};
+use halo_nf::sample_point;
 use halo_sim::{point_seed, SplitMix64};
-use halo_tables::FlowKey;
+use halo_tables::{FlowKey, FlowTable};
 
+use crate::audit_enabled;
 use crate::churn::AUDIT_EPOCH;
 use crate::shrink::{shrink_ops, MinimalTrace};
+use crate::Violation;
 
 /// One operation of a wildcard differential stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,6 +73,13 @@ impl RangeOracle {
         self.rules.len()
     }
 
+    /// The live rules in install order (a replaced rule keeps its
+    /// place).
+    #[must_use]
+    pub fn rules(&self) -> &[RangeRule] {
+        &self.rules
+    }
+
     /// Whether no rules are installed.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -87,10 +100,7 @@ impl RangeOracle {
 
     /// Removes the rule with exactly `ranges`, returning its
     /// `(priority, action)` if it was installed.
-    pub fn remove(
-        &mut self,
-        ranges: &[halo_classify::FieldRange; NUM_FIELDS],
-    ) -> Option<(u16, u64)> {
+    pub fn remove(&mut self, ranges: &[FieldRange; NUM_FIELDS]) -> Option<(u16, u64)> {
         let i = self.rules.iter().position(|r| &r.ranges == ranges)?;
         let r = self.rules.remove(i);
         Some((r.priority, r.action))
@@ -110,18 +120,58 @@ impl RangeOracle {
     }
 }
 
-/// Converts a ruleset churn run into a replayable wildcard op stream:
-/// half the ruleset installed up front, then `events` steps mixing
-/// classifications of in-rule points and far-off keys (flood misses)
-/// with paired install/teardown churn over the remaining pool.
+/// An adversarial pool for TSS range expansion: `pairs` aligned
+/// power-of-two destination-port blocks at high priority, each followed
+/// by a low-priority unaligned span straddling one of the block's
+/// edges. Inside the block the straddler decomposes into prefixes
+/// strictly smaller than the block, so their elements differ from the
+/// block's own; and the block comes first, so [`wildcard_ops`] installs
+/// it first. Removing the block must then hand those elements back to
+/// the straddler. Priorities are unique (every block above every
+/// straddler); actions are the pool index.
 #[must_use]
-pub fn wildcard_ops(
-    shape: RulesetShape,
-    rules: usize,
-    events: usize,
-    seed: u64,
-) -> Vec<WildcardOp> {
-    let pool = generate_ruleset(shape, rules, seed);
+pub fn nested_ruleset(pairs: usize, seed: u64) -> Vec<RangeRule> {
+    assert!(
+        2 * pairs < usize::from(u16::MAX),
+        "priority space is 16-bit"
+    );
+    let mut rng = SplitMix64::new(seed ^ 0x94d0_49bb_1331_11eb);
+    let mut out = Vec::with_capacity(2 * pairs);
+    for i in 0..pairs {
+        // A 16..=1024-port block, with a block of room on each side
+        // for the straddler's outer end.
+        let size = 1u64 << (4 + rng.below(7));
+        let lo = size * (1 + rng.below((1 << 16) / size - 2));
+        let hi = lo + size - 1;
+        let inner = 1 + rng.below(size - 2);
+        let outer = 1 + rng.below(size / 2);
+        let straddler = if rng.chance(0.5) {
+            FieldRange::span(lo - outer, lo + inner)
+        } else {
+            FieldRange::span(lo + inner, hi + outer)
+        };
+        for (ports, priority) in [
+            (FieldRange::span(lo, hi), 2 * pairs - i),
+            (straddler, pairs - i),
+        ] {
+            let mut ranges: [FieldRange; NUM_FIELDS] = std::array::from_fn(FieldRange::any);
+            ranges[3] = ports; // dst_port
+            out.push(RangeRule {
+                ranges,
+                priority: priority as u16,
+                action: out.len() as u64,
+            });
+        }
+    }
+    out
+}
+
+/// Converts a churn run over a rule `pool` into a replayable wildcard
+/// op stream: the pool's first half installed up front, then `events`
+/// steps mixing classifications of in-rule points and far-off keys
+/// (flood misses) with paired install/teardown churn over the rest.
+#[must_use]
+pub fn wildcard_ops(pool: &[RangeRule], events: usize, seed: u64) -> Vec<WildcardOp> {
     let mut rng = SplitMix64::new(seed ^ 0xc2b2_ae3d_27d4_eb4f);
     let mut live: Vec<usize> = (0..pool.len() / 2).collect();
     let mut dead: Vec<usize> = (pool.len() / 2..pool.len()).collect();
@@ -151,10 +201,93 @@ pub fn wildcard_ops(
     ops
 }
 
+/// Audits a [`TssRangeTable`] against its live range rules `rules`, in
+/// install order (as [`RangeOracle::rules`] keeps them). Every
+/// expansion element's expected `(priority, action)` is recomputed
+/// from scratch: the highest-priority rule whose own expansion
+/// contains the element, ties to the earliest installed. Checks:
+///
+/// * **element-value** — each expected element is installed, in the
+///   tuple carrying its mask, with exactly that value (none stale);
+/// * **element-census** — the tuple space holds exactly as many
+///   entries as there are distinct live elements (none leaked).
+#[must_use]
+pub fn audit_wildcard(
+    table: &TssRangeTable,
+    mem: &SimMemory,
+    rules: &[RangeRule],
+) -> Vec<Violation> {
+    let mut order = Vec::new();
+    let mut expected = HashMap::new();
+    for rule in rules {
+        for p in rule.tss_expansion() {
+            match expected.entry((p.mask, p.key)) {
+                Entry::Vacant(v) => {
+                    order.push(v.key().clone());
+                    v.insert((rule.priority, rule.action));
+                }
+                Entry::Occupied(mut o) => {
+                    if rule.priority > o.get().0 {
+                        o.insert((rule.priority, rule.action));
+                    }
+                }
+            }
+        }
+    }
+    let space = table.space();
+    let mut out = Vec::new();
+    for element in &order {
+        let (mask, key) = element;
+        let want = expected[element];
+        let got = space
+            .tuple_with_mask(mask)
+            .and_then(|i| space.tuples()[i].table().lookup(mem, &mask.apply(key)))
+            .map(decode_rule);
+        if got != Some(want) {
+            out.push(Violation {
+                invariant: "element-value",
+                detail: format!("element {mask:?}/{key:?} holds {got:?}, live rules give {want:?}"),
+            });
+        }
+    }
+    if space.total_rules() != order.len() {
+        out.push(Violation {
+            invariant: "element-census",
+            detail: format!(
+                "{} installed entries for {} distinct live elements",
+                space.total_rules(),
+                order.len()
+            ),
+        });
+    }
+    out
+}
+
+/// The checks [`wildcard_driver`] runs at its audit cadence: the
+/// live-rule census against the oracle and, on TSS, [`audit_wildcard`].
+fn audit(table: &WildcardMatcher, mem: &SimMemory, oracle: &RangeOracle) -> Option<String> {
+    if table.rules() != oracle.len() {
+        return Some(format!(
+            "{} live rules diverged from oracle {}",
+            table.rules(),
+            oracle.len()
+        ));
+    }
+    match table {
+        WildcardMatcher::Tss(t) => audit_wildcard(t, mem, oracle.rules())
+            .into_iter()
+            .next()
+            .map(|v| v.to_string()),
+        WildcardMatcher::Rvh(_) => None,
+    }
+}
+
 /// Replays `ops` against a fresh `backend` wildcard table and the
 /// [`RangeOracle`], comparing every insert's replacement, every
-/// remove's return, every classification's `(priority, action)`, and
-/// the live-rule count at [`AUDIT_EPOCH`] cadence and at the end.
+/// remove's return and every classification's `(priority, action)`.
+/// The live-rule count and, on TSS, [`audit_wildcard`] are checked
+/// every [`AUDIT_EPOCH`] ops (every op under
+/// [`audit_enabled`](crate::audit_enabled)) and at the end.
 #[must_use]
 pub fn wildcard_driver(backend: WildcardBackend, ops: &[WildcardOp]) -> Option<String> {
     let mut mem = SimMemory::new();
@@ -201,29 +334,21 @@ pub fn wildcard_driver(backend: WildcardBackend, ops: &[WildcardOp]) -> Option<S
                 }
             }
         }
-        if (i + 1) % AUDIT_EPOCH == 0 && table.rules() != oracle.len() {
-            return Some(format!(
-                "op {i} ({op}): {} live rules diverged from oracle {}",
-                table.rules(),
-                oracle.len()
-            ));
+        if (i + 1) % AUDIT_EPOCH == 0 || audit_enabled() {
+            if let Some(v) = audit(&table, &mem, &oracle) {
+                return Some(format!("op {i} ({op}): epoch audit: {v}"));
+            }
         }
     }
-    if table.rules() != oracle.len() {
-        return Some(format!(
-            "final: {} live rules diverged from oracle {}",
-            table.rules(),
-            oracle.len()
-        ));
-    }
-    None
+    audit(&table, &mem, &oracle).map(|v| format!("final audit: {v}"))
 }
 
-/// Runs `cases` wildcard differential cases of `rules` pool rules plus
-/// `events` churn/classify steps of the given `shape` against every
-/// [`WildcardBackend`], seeding case `i` with `point_seed(name, i)`.
-/// On the first divergence the sequence is ddmin-shrunk and returned
-/// as a [`MinimalTrace`] over [`WildcardOp`]s.
+/// Runs `cases` wildcard differential cases against every
+/// [`WildcardBackend`]: case `i` seeds `point_seed(name, i)`, draws its
+/// rule pool from `pool(seed)` and replays [`wildcard_ops`] with
+/// `events` churn/classify steps. On the first divergence the sequence
+/// is ddmin-shrunk and returned as a [`MinimalTrace`] over
+/// [`WildcardOp`]s.
 ///
 /// # Errors
 ///
@@ -231,14 +356,13 @@ pub fn wildcard_driver(backend: WildcardBackend, ops: &[WildcardOp]) -> Option<S
 pub fn run_wildcard_differential(
     name: &str,
     cases: u64,
-    rules: usize,
     events: usize,
-    shape: RulesetShape,
+    pool: impl Fn(u64) -> Vec<RangeRule>,
 ) -> Result<(), MinimalTrace<WildcardOp>> {
     for backend in WildcardBackend::all() {
         for i in 0..cases {
             let seed = point_seed(&format!("{name}.{}", backend.name()), i);
-            let ops = wildcard_ops(shape, rules, events, seed);
+            let ops = wildcard_ops(&pool(seed), events, seed);
             let mut driver = |ops: &[WildcardOp]| wildcard_driver(backend, ops);
             if driver(&ops).is_some() {
                 let (min_ops, error) = shrink_ops(&ops, &mut driver);
@@ -256,13 +380,11 @@ pub fn run_wildcard_differential(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use halo_classify::FieldRange;
+    use halo_classify::{SearchMode, FIELDS, MINIFLOW_LEN};
+    use halo_nf::{generate_ruleset, RulesetShape};
 
     fn rule(prio: u16, action: u64, port_lo: u64, port_hi: u64) -> RangeRule {
-        let mut ranges = [FieldRange::exact(0); NUM_FIELDS];
-        for (i, r) in ranges.iter_mut().enumerate() {
-            *r = FieldRange::any(i);
-        }
+        let mut ranges: [FieldRange; NUM_FIELDS] = std::array::from_fn(FieldRange::any);
         ranges[3] = FieldRange::span(port_lo, port_hi);
         RangeRule {
             ranges,
@@ -293,8 +415,9 @@ mod tests {
 
     #[test]
     fn wildcard_ops_are_deterministic_and_start_live() {
-        let a = wildcard_ops(RulesetShape::PortRange, 24, 200, 5);
-        let b = wildcard_ops(RulesetShape::PortRange, 24, 200, 5);
+        let pool = generate_ruleset(RulesetShape::PortRange, 24, 5);
+        let a = wildcard_ops(&pool, 200, 5);
+        let b = wildcard_ops(&pool, 200, 5);
         assert_eq!(a, b);
         assert!(a[..12].iter().all(|op| matches!(op, WildcardOp::Insert(_))));
         assert!(a.iter().any(|op| matches!(op, WildcardOp::Classify(_))));
@@ -304,9 +427,93 @@ mod tests {
     #[test]
     fn every_shape_survives_the_wildcard_suite() {
         for shape in RulesetShape::all() {
-            run_wildcard_differential(&format!("wildcard.{}", shape.name()), 2, 24, 160, shape)
-                .unwrap_or_else(|t| panic!("{}: {t}", shape.name()));
+            run_wildcard_differential(&format!("wildcard.{}", shape.name()), 2, 160, |seed| {
+                generate_ruleset(shape, 24, seed)
+            })
+            .unwrap_or_else(|t| panic!("{}: {t}", shape.name()));
         }
+        run_wildcard_differential("wildcard.nested", 2, 160, |seed| nested_ruleset(12, seed))
+            .unwrap_or_else(|t| panic!("nested: {t}"));
+    }
+
+    /// Every nested pair is a block followed by a lower-priority span
+    /// that crosses exactly one of the block's edges and expands, inside
+    /// the block, into strictly smaller prefixes.
+    #[test]
+    fn nested_pairs_straddle_their_blocks() {
+        let pool = nested_ruleset(64, 3);
+        assert_eq!(pool.len(), 128);
+        for pair in pool.chunks(2) {
+            let (block, span) = (pair[0].ranges[3], pair[1].ranges[3]);
+            let size = block.hi - block.lo + 1;
+            assert!(size.is_power_of_two() && block.lo % size == 0, "{block:?}");
+            assert!(pair[0].priority > pair[1].priority);
+            assert!(
+                (span.lo < block.lo && block.lo < span.hi && span.hi < block.hi)
+                    || (block.lo < span.lo && span.lo < block.hi && block.hi < span.hi),
+                "{span:?} must straddle {block:?}"
+            );
+            let block_mask = pair[0].tss_expansion()[0].mask.clone();
+            assert!(pair[1].tss_expansion().iter().all(|p| p.mask != block_mask));
+        }
+        let mut priorities: Vec<u16> = pool.iter().map(|r| r.priority).collect();
+        priorities.sort_unstable();
+        priorities.dedup();
+        assert_eq!(priorities.len(), pool.len(), "priorities are unique");
+    }
+
+    /// The nested counterexample in its shortest form: remove the block
+    /// a straddler was installed under, then classify inside the block.
+    #[test]
+    fn removing_a_block_hands_its_region_to_the_straddler() {
+        let pool = nested_ruleset(1, 9);
+        let (block, span) = (pool[0], pool[1]);
+        let mut bytes = [0u8; MINIFLOW_LEN];
+        bytes.copy_from_slice(span.point_key().as_bytes());
+        let port = span.ranges[3].lo.max(block.ranges[3].lo);
+        FIELDS[3].write(&mut bytes, port);
+        let ops = [
+            WildcardOp::Insert(block),
+            WildcardOp::Insert(span),
+            WildcardOp::Remove(block),
+            WildcardOp::Classify(FlowKey::from_bytes(&bytes)),
+        ];
+        for backend in WildcardBackend::all() {
+            assert_eq!(wildcard_driver(backend, &ops), None, "{}", backend.name());
+        }
+    }
+
+    /// The auditor flags an overwritten element and a leaked one: both
+    /// planted through the masked-rule pass-through, which writes the
+    /// tuple space without touching the range bookkeeping.
+    #[test]
+    fn audit_wildcard_catches_stale_and_leaked_entries() {
+        let pool = nested_ruleset(2, 4);
+        let mut mem = SimMemory::new();
+        let mut t = TssRangeTable::with_masks(
+            &mut mem,
+            TableBackend::Cuckoo,
+            &[],
+            256,
+            SearchMode::HighestPriority,
+        );
+        for r in &pool {
+            t.insert_range(&mut mem, r).unwrap();
+        }
+        assert_eq!(audit_wildcard(&t, &mem, &pool), vec![]);
+        let p = pool[1].tss_expansion().swap_remove(0);
+        t.insert_masked(&mut mem, &p.mask, &p.key, 999, 1).unwrap();
+        let v = audit_wildcard(&t, &mem, &pool);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].invariant, "element-value");
+        t.insert_masked(&mut mem, &p.mask, &p.key, pool[1].priority, pool[1].action)
+            .unwrap();
+        // Port 0 lies below every nested rule.
+        let outside = FlowKey::from_bytes(&[0u8; MINIFLOW_LEN]);
+        t.insert_masked(&mut mem, &p.mask, &outside, 1, 1).unwrap();
+        let v = audit_wildcard(&t, &mem, &pool);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].invariant, "element-census");
     }
 
     /// A planted bug — a driver that drops every other remove — must be
@@ -339,12 +546,8 @@ mod tests {
             }
             None
         };
-        let ops = wildcard_ops(
-            RulesetShape::AclMix,
-            24,
-            600,
-            point_seed("wildcard.lossy", 0),
-        );
+        let seed = point_seed("wildcard.lossy", 0);
+        let ops = wildcard_ops(&generate_ruleset(RulesetShape::AclMix, 24, seed), 600, seed);
         assert!(lossy(&ops).is_some(), "the planted bug must trip");
         let (min_ops, err) = shrink_ops(&ops, lossy);
         assert!(err.contains("diverged"), "unexpected error: {err}");

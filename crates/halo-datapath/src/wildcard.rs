@@ -254,31 +254,52 @@ impl<T: FlowTable> WildcardTable for TupleSpace<T> {
 /// A [`RangeRule`] is decomposed into aligned prefixes per field and
 /// cross-producted ([`RangeRule::tss_expansion`]); each expansion
 /// element is installed in the tuple carrying its mask (created on
-/// first use, the way OVS grows MegaFlow tuples). Because expansion
-/// regions of different rules overlap, every installed entry carries
-/// the *maximum-priority* shadow rule fully covering that entry's
-/// region — sound and complete under [`SearchMode::HighestPriority`],
-/// since each matching rule's own expansion covers every key it
-/// matches.
+/// first use, the way OVS grows MegaFlow tuples).
+///
+/// Expansions of overlapping rules share elements, so the bookkeeping
+/// keeps one invariant: an element's **owners** are the live rules
+/// whose own expansion contains it, the element is installed iff it
+/// has an owner, and its entry holds the best owner's
+/// `(priority, action)` (ties to the earliest installed). That is
+/// sound and complete under [`SearchMode::HighestPriority`]: every
+/// rule matching a key owns an element containing that key, and every
+/// owner of a matching element matches the key. Insert and remove add
+/// or drop one owner per element and rewrite an entry only when its
+/// best owner changes, so update cost is independent of how many
+/// rules were ever installed.
 ///
 /// Mixing masked-rule and range-rule APIs on one instance is not
-/// supported (the shadow bookkeeping only tracks range rules); the
+/// supported (the owner bookkeeping only tracks range rules); the
 /// drivers use one vocabulary per table, as the vswitch does.
 #[derive(Debug)]
 pub struct TssRangeTable {
     space: TupleSpace<ExactTable>,
     backend: TableBackend,
     entries_per_tuple: usize,
-    /// Every installed range rule, in insertion order (stable indices —
-    /// removal leaves `None`).
-    shadow: Vec<Option<RangeRule>>,
-    live_ranges: usize,
-    /// Owner refcount per installed expansion entry: how many live
-    /// rules' expansions contain it. An entry exists in the tuple
-    /// tables iff it has at least one owner, and its value is the
-    /// covering winner — so removing a rule hands an entry down to the
-    /// rules still owning it instead of leaking it as a stale match.
-    entries: HashMap<(WildcardMask, FlowKey), usize>,
+    /// Every live range rule by its intervals.
+    rules: HashMap<[FieldRange; NUM_FIELDS], Owner>,
+    /// Install counter: the tie-break among equal-priority owners.
+    next_seq: u64,
+    /// The owners of every installed expansion element.
+    entries: HashMap<(WildcardMask, FlowKey), Vec<Owner>>,
+}
+
+/// A live range rule as its expansion elements see it. `seq` is fixed
+/// at first install and kept across in-place replacement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Owner {
+    priority: u16,
+    action: u64,
+    seq: u64,
+}
+
+/// The owner whose `(priority, action)` an element's entry holds:
+/// highest priority, then earliest installed.
+fn best(owners: &[Owner]) -> Option<Owner> {
+    owners
+        .iter()
+        .copied()
+        .max_by_key(|o| (o.priority, std::cmp::Reverse(o.seq)))
 }
 
 impl TssRangeTable {
@@ -307,8 +328,8 @@ impl TssRangeTable {
             space: TupleSpace::from_tuples(tuples, mode),
             backend,
             entries_per_tuple,
-            shadow: Vec::new(),
-            live_ranges: 0,
+            rules: HashMap::new(),
+            next_seq: 0,
             entries: HashMap::new(),
         }
     }
@@ -317,12 +338,6 @@ impl TssRangeTable {
     #[must_use]
     pub fn space(&self) -> &TupleSpace<ExactTable> {
         &self.space
-    }
-
-    /// The exact-match backend backing each tuple.
-    #[must_use]
-    pub fn exact_backend(&self) -> TableBackend {
-        self.backend
     }
 
     /// The tuple carrying `mask`, created if absent.
@@ -337,60 +352,32 @@ impl TssRangeTable {
             .push_tuple(Tuple::from_parts(mask.clone(), table))
     }
 
-    /// The highest-priority live shadow rule covering `region` (ties to
-    /// the earliest-installed rule).
-    fn winner_for(&self, region: &[FieldRange; NUM_FIELDS]) -> Option<(u16, u64)> {
-        let mut best: Option<RangeRule> = None;
-        for rule in self.shadow.iter().flatten() {
-            if rule.covers(region) && best.is_none_or(|b| rule.priority > b.priority) {
-                best = Some(*rule);
-            }
-        }
-        best.map(|r| (r.priority, r.action))
-    }
-
-    /// Re-derives the table entry for one registered expansion element:
-    /// installs the covering winner's `(priority, action)`.
-    fn refresh_element(
+    /// Applies `edit` to element `p`'s owner list, then brings its
+    /// table entry back in line with the invariant: rewritten when the
+    /// best owner changed, removed when no owner is left.
+    fn edit_owners(
         &mut self,
         mem: &mut SimMemory,
         p: &PrefixRule,
+        edit: impl FnOnce(&mut Vec<Owner>),
     ) -> Result<(), WildcardError> {
         let idx = self.ensure_tuple(mem, &p.mask);
-        let (priority, action) = self
-            .winner_for(&p.region)
-            .expect("a live owner always covers its own element");
-        self.space
-            .insert_rule(mem, idx, &p.key, priority, action)
-            .map(|_| ())
-            .map_err(WildcardError::from)
-    }
-
-    /// Releases one ownership of an expansion element: drops the table
-    /// entry outright when no live rule's expansion contains it
-    /// anymore, otherwise re-derives its winner.
-    fn release_element(&mut self, mem: &mut SimMemory, p: &PrefixRule) {
-        let key = (p.mask.clone(), p.key);
-        let owners = self.entries.get_mut(&key).expect("releasing a live entry");
-        *owners -= 1;
-        if *owners == 0 {
-            self.entries.remove(&key);
-            if let Some(idx) = self.space.tuple_with_mask(&p.mask) {
+        let element = (p.mask.clone(), p.key);
+        let owners = self.entries.entry(element.clone()).or_default();
+        let before = best(owners);
+        edit(owners);
+        match best(owners) {
+            None => {
+                self.entries.remove(&element);
                 self.space.remove_rule(mem, idx, &p.key);
             }
-        } else {
-            // Surviving owners cover the region, so refresh cannot
-            // fail: the slot already exists and is overwritten in
-            // place.
-            let _ = self.refresh_element(mem, p);
+            Some(o) if Some(o) != before => {
+                self.space
+                    .insert_rule(mem, idx, &p.key, o.priority, o.action)?;
+            }
+            Some(_) => {}
         }
-    }
-
-    /// The index of the live shadow rule with exactly these ranges.
-    fn find_shadow(&self, ranges: &[FieldRange; NUM_FIELDS]) -> Option<usize> {
-        self.shadow
-            .iter()
-            .position(|s| s.is_some_and(|r| r.ranges == *ranges))
+        Ok(())
     }
 }
 
@@ -400,10 +387,10 @@ impl WildcardTable for TssRangeTable {
     }
 
     fn rules(&self) -> usize {
-        if self.live_ranges > 0 {
-            self.live_ranges
-        } else {
+        if self.rules.is_empty() {
             self.space.total_rules()
+        } else {
+            self.rules.len()
         }
     }
 
@@ -444,45 +431,56 @@ impl WildcardTable for TssRangeTable {
         halo_classify::try_encode_rule(rule.priority, rule.action)
             .map_err(RuleError::from)
             .map_err(WildcardError::from)?;
-        if let Some(i) = self.find_shadow(&rule.ranges) {
-            // Identical shape: replace in place (same expansion, same
-            // ownerships), then refresh every element — the winner may
-            // have changed.
-            let old = self.shadow[i].expect("found shadow is live");
-            self.shadow[i] = Some(*rule);
-            for p in rule.tss_expansion() {
-                self.refresh_element(mem, &p)?;
+        let expansion = rule.tss_expansion();
+        if let Some(owner) = self.rules.get_mut(&rule.ranges) {
+            // Identical intervals: replace in place. Same expansion and
+            // same seq, so only the entries this owner wins change, and
+            // those overwrite existing slots.
+            let old = *owner;
+            let new = Owner {
+                priority: rule.priority,
+                action: rule.action,
+                ..old
+            };
+            *owner = new;
+            for p in &expansion {
+                self.edit_owners(mem, p, |owners| {
+                    for o in owners.iter_mut().filter(|o| o.seq == new.seq) {
+                        *o = new;
+                    }
+                })?;
             }
             return Ok(Some((old.priority, old.action)));
         }
-        self.shadow.push(Some(*rule));
-        self.live_ranges += 1;
-        let expansion = rule.tss_expansion();
+        let owner = Owner {
+            priority: rule.priority,
+            action: rule.action,
+            seq: self.next_seq,
+        };
         for (done, p) in expansion.iter().enumerate() {
-            *self.entries.entry((p.mask.clone(), p.key)).or_insert(0) += 1;
-            if let Err(e) = self.refresh_element(mem, p) {
-                // Unwind: drop the rule and release the ownerships
-                // already taken, so the invariant (entry = covering
-                // winner, refcounted by live owners) holds again.
-                self.shadow.pop();
-                self.live_ranges -= 1;
+            if let Err(e) = self.edit_owners(mem, p, |owners| owners.push(owner)) {
+                // Unwind the ownerships already taken, so every entry
+                // is back to its previous best owner.
                 for q in &expansion[..=done] {
-                    self.release_element(mem, q);
+                    let _ =
+                        self.edit_owners(mem, q, |owners| owners.retain(|o| o.seq != owner.seq));
                 }
                 return Err(e);
             }
         }
+        self.next_seq += 1;
+        self.rules.insert(rule.ranges, owner);
         Ok(None)
     }
 
     fn remove_range(&mut self, mem: &mut SimMemory, rule: &RangeRule) -> Option<(u16, u64)> {
-        let i = self.find_shadow(&rule.ranges)?;
-        let old = self.shadow[i].take().expect("found shadow is live");
-        self.live_ranges -= 1;
-        for p in old.tss_expansion() {
-            self.release_element(mem, &p);
+        let owner = self.rules.remove(&rule.ranges)?;
+        for p in rule.tss_expansion() {
+            // Dropping an owner only removes or overwrites entries,
+            // neither of which can fail.
+            let _ = self.edit_owners(mem, &p, |owners| owners.retain(|o| o.seq != owner.seq));
         }
-        Some((old.priority, old.action))
+        Some((owner.priority, owner.action))
     }
 
     fn classify_traced(
@@ -665,16 +663,6 @@ impl WildcardMatcher {
             WildcardMatcher::Rvh(_) => WildcardBackend::Rvh,
         }
     }
-
-    /// The wrapped tuple space, when this is the TSS backend (the
-    /// vswitch's functional-check and warm paths use it directly).
-    #[must_use]
-    pub fn as_tss(&self) -> Option<&TupleSpace<ExactTable>> {
-        match self {
-            WildcardMatcher::Tss(t) => Some(t.space()),
-            WildcardMatcher::Rvh(_) => None,
-        }
-    }
 }
 
 impl WildcardTable for WildcardMatcher {
@@ -841,8 +829,7 @@ mod tests {
 
     /// Overlapping range rules resolve by priority on both backends —
     /// including after the higher-priority rule is removed (the TSS
-    /// expansion's covering-winner bookkeeping must re-expose the
-    /// shadowed rule).
+    /// owner bookkeeping must re-expose the shadowed rule).
     #[test]
     fn overlap_resolution_survives_removal() {
         for backend in WildcardBackend::all() {
@@ -892,6 +879,52 @@ mod tests {
             );
             assert_eq!(WildcardTable::rules(&w), 0);
         }
+    }
+
+    /// Sustained range-rule churn keeps the TSS bookkeeping flat: after
+    /// every remove+insert pair the rule map holds exactly the live
+    /// rules, and at the end the owner map holds exactly the installed
+    /// entries — nothing grows with the number of rules ever inserted.
+    #[test]
+    fn range_churn_keeps_bookkeeping_flat() {
+        let pairs = if cfg!(feature = "slow-tests") {
+            100_000
+        } else {
+            10_000
+        };
+        let mut mem = SimMemory::new();
+        let mut t = TssRangeTable::with_masks(
+            &mut mem,
+            TableBackend::Cuckoo,
+            &[],
+            512,
+            SearchMode::HighestPriority,
+        );
+        // Overlapping unaligned port spans over four flows.
+        let pool: Vec<RangeRule> = (0..64u64)
+            .map(|i| range_rule(i % 4, 1_000 + i * 37, 1_300 + i * 53, i as u16, i))
+            .collect();
+        let (mut live, mut dead): (Vec<usize>, Vec<usize>) = (0..64).partition(|i| i % 2 == 0);
+        for &i in &live {
+            t.insert_range(&mut mem, &pool[i]).unwrap();
+        }
+        let mut rng = halo_sim::SplitMix64::new(7);
+        for _ in 0..pairs {
+            let gone = live.swap_remove(rng.below(live.len() as u64) as usize);
+            assert!(t.remove_range(&mut mem, &pool[gone]).is_some());
+            let back = dead.swap_remove(rng.below(dead.len() as u64) as usize);
+            assert_eq!(t.insert_range(&mut mem, &pool[back]).unwrap(), None);
+            live.push(back);
+            dead.push(gone);
+            assert_eq!(t.rules.len(), live.len());
+        }
+        assert_eq!(t.entries.len(), t.space().total_rules());
+        let elements: std::collections::HashSet<_> = live
+            .iter()
+            .flat_map(|&i| pool[i].tss_expansion())
+            .map(|p| (p.mask, p.key))
+            .collect();
+        assert_eq!(t.entries.len(), elements.len());
     }
 
     /// The trait impl for a plain `TupleSpace` is behaviorally identical

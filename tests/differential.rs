@@ -276,16 +276,18 @@ fn churn_stream_agrees_with_oracle_on_every_backend() {
 
 /// Wildcard differential: range-rule churn and classification streams
 /// (generated per ruleset shape, from exact-heavy MegaFlow state to a
-/// port-span ACL mix) must agree with the linear-scan [`RangeOracle`]
-/// on every wildcard backend — TSS prefix expansion and the RVH
-/// range-vector hash — comparing `(priority, action)` winners and the
-/// installed-rule census at the audit cadence.
+/// port-span ACL mix, plus the nested pool of unaligned spans
+/// straddling aligned high-priority blocks) must agree with the
+/// linear-scan [`RangeOracle`] on every wildcard backend — TSS prefix
+/// expansion and the RVH range-vector hash — comparing
+/// `(priority, action)` winners, the installed-rule census and, on
+/// TSS, every installed expansion entry at the audit cadence.
 ///
 /// [`RangeOracle`]: halo_nfv::check::RangeOracle
 #[test]
 fn wildcard_stream_agrees_with_range_oracle_on_every_backend() {
-    use halo_nfv::check::run_wildcard_differential;
-    use halo_nfv::nf::RulesetShape;
+    use halo_nfv::check::{nested_ruleset, run_wildcard_differential};
+    use halo_nfv::nf::{generate_ruleset, RulesetShape};
     let cases = if cfg!(feature = "slow-tests") { 8 } else { 2 };
     let events = if cfg!(feature = "slow-tests") {
         400
@@ -296,12 +298,15 @@ fn wildcard_stream_agrees_with_range_oracle_on_every_backend() {
         run_wildcard_differential(
             &format!("differential.wildcard.{}", shape.name()),
             cases,
-            32,
             events,
-            shape,
+            |seed| generate_ruleset(shape, 32, seed),
         )
         .unwrap_or_else(|t| panic!("{}: {t}", shape.name()));
     }
+    run_wildcard_differential("differential.wildcard.nested", cases, events, |seed| {
+        nested_ruleset(16, seed)
+    })
+    .unwrap_or_else(|t| panic!("nested: {t}"));
 }
 
 /// The wildcard-ablation matrix must be jobs-invariant too: the same
