@@ -16,7 +16,7 @@
 use crate::experiments::ablation_backends::Strategy;
 use crate::experiments::harness::kilo_throughput;
 use halo_accel::{AcceleratorConfig, HaloEngine};
-use halo_classify::SearchMode;
+use halo_classify::{RangeRule, SearchMode};
 use halo_datapath::{
     LookupBackend, LookupExecutor, NbRegion, TableBackend, WildcardBackend, WildcardMatcher,
     WildcardTable,
@@ -25,6 +25,7 @@ use halo_mem::{CoreId, MachineConfig, MemorySystem, CACHE_LINE};
 use halo_nf::{generate_ruleset, ruleset_traffic, RulesetShape};
 use halo_sim::{fmt_f64, point_seed, Cycle, SweepPoint, SweepRunner, TextTable};
 use halo_tables::{FlowKey, TraceStep};
+use std::time::Instant;
 
 /// One measured cell of the backend × shape × strategy matrix.
 #[derive(Debug, Clone, Copy)]
@@ -45,6 +46,23 @@ pub struct WildcardCell {
     pub mem_bytes: u64,
     /// Installed rule count (after replacement collapsing).
     pub rules: u64,
+    /// Host-time update rates of the backend × shape pair (the same in
+    /// all three strategy cells). Wall-clock, so JSON only: never in the
+    /// digest-pinned table.
+    pub update: UpdateRate,
+}
+
+/// Host microseconds per rule to install a ruleset through
+/// [`WildcardTable::insert_range`] and remove it again through
+/// [`WildcardTable::remove_range`].
+#[derive(Debug, Clone, Copy)]
+pub struct UpdateRate {
+    /// Rules in the generated ruleset: the calls each rate averages over.
+    pub calls: usize,
+    /// Microseconds per `insert_range` call.
+    pub insert_us_per_rule: f64,
+    /// Microseconds per `remove_range` call.
+    pub remove_us_per_rule: f64,
 }
 
 impl Strategy {
@@ -64,7 +82,15 @@ impl Strategy {
 struct WildcardWorkload {
     sys: MemorySystem,
     table: WildcardMatcher,
+    ruleset: Vec<RangeRule>,
     keys: Vec<FlowKey>,
+    /// Host microseconds per rule spent in `insert_range` building `table`.
+    insert_us_per_rule: f64,
+}
+
+/// Host microseconds per call, `rules` calls having run since `start`.
+fn us_per_rule(start: Instant, rules: usize) -> f64 {
+    start.elapsed().as_secs_f64() * 1e6 / rules.max(1) as f64
 }
 
 impl WildcardWorkload {
@@ -85,16 +111,34 @@ impl WildcardWorkload {
             capacity,
             SearchMode::HighestPriority,
         );
+        let start = Instant::now();
         for rule in &ruleset {
             table
                 .insert_range(sys.data_mut(), rule)
                 .expect("generated ruleset fits the table");
         }
+        let insert_us_per_rule = us_per_rule(start, ruleset.len());
         for a in table.memory_lines() {
             sys.warm_llc(a);
         }
         let keys = ruleset_traffic(&ruleset, lookups, 0.7, seed ^ 0x5ca1_ab1e);
-        WildcardWorkload { sys, table, keys }
+        WildcardWorkload {
+            sys,
+            table,
+            ruleset,
+            keys,
+            insert_us_per_rule,
+        }
+    }
+
+    /// Removes every rule through [`WildcardTable::remove_range`],
+    /// returning host microseconds per rule. Leaves the table empty.
+    fn remove_all(&mut self) -> f64 {
+        let start = Instant::now();
+        for rule in &self.ruleset {
+            self.table.remove_range(self.sys.data_mut(), rule);
+        }
+        us_per_rule(start, self.ruleset.len())
     }
 
     /// Trace-level metrics over the key stream: probes and bucket-line
@@ -173,6 +217,11 @@ impl SweepPoint for WildcardPoint {
         let (probes, buckets) = probe_w.metrics();
         let mem_bytes = probe_w.table.memory_lines().len() as u64 * CACHE_LINE;
         let rules = probe_w.table.rules() as u64;
+        let update = UpdateRate {
+            calls: probe_w.ruleset.len(),
+            insert_us_per_rule: probe_w.insert_us_per_rule,
+            remove_us_per_rule: probe_w.remove_all(),
+        };
         Strategy::all()
             .into_iter()
             .map(|strategy| {
@@ -186,6 +235,7 @@ impl SweepPoint for WildcardPoint {
                     buckets_per_lookup: buckets,
                     mem_bytes,
                     rules,
+                    update,
                 }
             })
             .collect()
@@ -280,7 +330,8 @@ pub fn table(cells: &[WildcardCell]) -> TextTable {
 }
 
 /// Serializes the matrix as a small JSON document (the CI bench-smoke
-/// artifact `ABLATION_wildcard.json`).
+/// artifact `ABLATION_wildcard.json`): the cells, then one host-time
+/// update-rate row per backend × shape.
 #[must_use]
 pub fn to_json(cells: &[WildcardCell], quick: bool) -> String {
     let mut s = String::from("{\n");
@@ -302,6 +353,22 @@ pub fn to_json(cells: &[WildcardCell], quick: bool) -> String {
             c.mem_bytes,
             c.rules,
             if i + 1 == cells.len() { "" } else { "," }
+        ));
+    }
+    s.push_str("  ],\n  \"update_rates\": [\n");
+    // Every strategy cell of a (backend, shape) pair carries the same
+    // rates; emit each pair once.
+    let pairs: Vec<&WildcardCell> = cells.iter().step_by(3).collect();
+    for (i, c) in pairs.iter().enumerate() {
+        s.push_str(&format!(
+            "    {{\"backend\": \"{}\", \"ruleset\": \"{}\", \"calls\": {}, \
+             \"insert_us_per_rule\": {:.3}, \"remove_us_per_rule\": {:.3}}}{}\n",
+            c.backend.name(),
+            c.shape.name(),
+            c.update.calls,
+            c.update.insert_us_per_rule,
+            c.update.remove_us_per_rule,
+            if i + 1 == pairs.len() { "" } else { "," }
         ));
     }
     s.push_str("  ]\n}\n");
@@ -379,5 +446,12 @@ mod tests {
             assert!(json.contains(s.name()), "missing {}", s.name());
         }
         assert_eq!(json.matches("\"strategy\"").count(), cells.len());
+        // One update-rate row per backend × shape.
+        assert_eq!(json.matches("\"insert_us_per_rule\"").count(), 2 * 3);
+        assert_eq!(json.matches("\"remove_us_per_rule\"").count(), 2 * 3);
+        for c in &cells {
+            assert!(c.update.calls > 0);
+            assert!(c.update.insert_us_per_rule > 0.0 && c.update.remove_us_per_rule > 0.0);
+        }
     }
 }

@@ -116,8 +116,13 @@ pub struct CoreModel {
 
 impl CoreModel {
     /// Creates a core model for `core` using `cfg`'s pipeline limits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.issue_width` is zero.
     #[must_use]
     pub fn new(core: CoreId, cfg: &halo_mem::MachineConfig) -> Self {
+        assert!(cfg.issue_width > 0, "core with zero issue width");
         CoreModel {
             core,
             issue_width: cfg.issue_width,
@@ -170,21 +175,29 @@ impl CoreModel {
         self.store_times.clear();
         let mut last_finish = base;
         let mut first_issue: Option<Cycle> = None;
+        // Issue bandwidth: at most issue_width uops per cycle,
+        // approximated by a fixed program-order pacing floor. `pace` is
+        // `base + i / issue_width`, kept incrementally: `slot` counts the
+        // uops already paced at the current cycle.
+        let mut pace = base;
+        let mut slot = 0;
 
         for (i, uop) in prog.uops().iter().enumerate() {
             // Dataflow readiness.
             let mut ready = base;
-            for &d in &uop.deps {
+            for &d in prog.deps(i) {
                 ready = ready.max(self.completion[d as usize]);
             }
             // ROB window.
             if i >= self.rob {
                 ready = ready.max(self.completion[i - self.rob]);
             }
-            // Issue bandwidth: at most issue_width uops per cycle,
-            // approximated by a fixed program-order pacing floor.
-            let pace = base + Cycles((i / self.issue_width) as u64);
             ready = ready.max(pace);
+            slot += 1;
+            if slot == self.issue_width {
+                slot = 0;
+                pace += Cycles(1);
+            }
 
             let done = match uop.kind {
                 UopKind::Compute { latency } => ready + Cycles(latency),

@@ -116,12 +116,17 @@ pub fn build_sw_lookup_into(
     let mut arith = 0usize;
     let mut other = 0usize;
 
+    // The dataflow frontier: the uops the next spine step depends on.
+    // Borrowed from the program's scratch so a warm rebuild allocates
+    // nothing; handed back below.
+    let mut last = std::mem::take(&mut p.frontier);
+    last.clear();
+
     // --- Prologue: function entry, packet bookkeeping (filler). -------
-    let mut prologue_last: Vec<UopId> = Vec::new();
     for _ in 0..10 {
         let id = p.load(scratch.next(), &[]);
         loads += 1;
-        prologue_last.push(id);
+        last.push(id);
     }
     for _ in 0..6 {
         p.store(scratch.next(), &[]);
@@ -132,19 +137,16 @@ pub fn build_sw_lookup_into(
         other += 1;
     }
 
-    // --- Key fetch. ----------------------------------------------------
-    let key_dep: Vec<UopId> = match key_addr {
-        Some(a) => {
-            let id = p.load(a, &[]);
-            loads += 1;
-            vec![id]
-        }
-        None => prologue_last.clone(),
-    };
+    // --- Key fetch: the spine starts at the key load, or at the
+    // prologue loads if the key is already in registers. -------------
+    if let Some(a) = key_addr {
+        let id = p.load(a, &[]);
+        loads += 1;
+        only(&mut last, id);
+    }
 
     // --- Walk the trace, building the dataflow spine. ------------------
-    let mut last: Vec<UopId> = key_dep.clone();
-    let mut hash_done: Vec<UopId> = Vec::new();
+    let mut hash_done: Option<UopId> = None;
     for step in &trace.steps {
         match *step {
             TraceStep::LoadMeta(a) => {
@@ -175,20 +177,18 @@ pub fn build_sw_lookup_into(
                     h = p.compute(lat, &[h]);
                     arith += 1;
                 }
-                hash_done = vec![h];
-                last = vec![h];
+                hash_done = Some(h);
+                only(&mut last, h);
             }
             TraceStep::LoadBucket(a) => {
                 // Bucket fetches depend on the hash, not on each other:
                 // DPDK prefetches both candidate buckets.
-                let dep = if hash_done.is_empty() {
-                    &last
-                } else {
-                    &hash_done
+                let id = match hash_done {
+                    Some(h) => p.load(a, &[h]),
+                    None => p.load(a, &last),
                 };
-                let id = p.load(a, dep);
                 loads += 1;
-                last = vec![id];
+                only(&mut last, id);
             }
             TraceStep::CompareSigs => {
                 // SIMD signature compare + mask extraction + branch.
@@ -197,12 +197,12 @@ pub fn build_sw_lookup_into(
                 arith += 2;
                 let br = p.compute(1, &[c2]);
                 other += 1;
-                last = vec![br];
+                only(&mut last, br);
             }
             TraceStep::LoadKv(a) => {
                 let id = p.load(a, &last);
                 loads += 1;
-                last = vec![id];
+                only(&mut last, id);
             }
             TraceStep::CompareKey => {
                 let c1 = p.compute(1, &last);
@@ -210,7 +210,7 @@ pub fn build_sw_lookup_into(
                 arith += 2;
                 let br = p.compute(1, &[c2]);
                 other += 1;
-                last = vec![br];
+                only(&mut last, br);
             }
             TraceStep::LoadKey(a) => {
                 let id = p.load(a, &[]);
@@ -247,6 +247,13 @@ pub fn build_sw_lookup_into(
     // Result epilogue: a couple of dependent ops after the spine.
     let fin = p.compute(1, &last);
     p.store(scratch.next(), &[fin]);
+    p.frontier = last;
+}
+
+/// Makes `id` the whole frontier.
+fn only(frontier: &mut Vec<UopId>, id: UopId) {
+    frontier.clear();
+    frontier.push(id);
 }
 
 #[cfg(test)]

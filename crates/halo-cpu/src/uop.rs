@@ -28,13 +28,14 @@ pub enum UopKind {
 }
 
 /// One micro-op: an operation plus the set of earlier micro-ops whose
-/// results it consumes.
+/// results it consumes (read through [`Program::deps`]).
 #[derive(Debug, Clone)]
 pub struct Uop {
     /// What the op does.
     pub kind: UopKind,
-    /// Data dependencies (indices of earlier uops in the same program).
-    pub deps: Vec<UopId>,
+    /// This op's data dependencies: the range `[start, end)` of its
+    /// program's flat dependency buffer.
+    deps: (u32, u32),
 }
 
 /// A dependency DAG of micro-ops in program order.
@@ -55,6 +56,15 @@ pub struct Uop {
 #[derive(Debug, Clone)]
 pub struct Program {
     uops: Vec<Uop>,
+    /// Every uop's dependencies, concatenated in program order; each
+    /// [`Uop`] holds its own range. One flat buffer, so
+    /// [`clear`](Self::clear) keeps all the capacity.
+    deps: Vec<UopId>,
+    /// The dependency frontier [`crate::build_sw_lookup_into`] carries
+    /// between trace steps: working space for that function, not part
+    /// of the program. It lives here so a rebuild into a warm program
+    /// allocates nothing.
+    pub(crate) frontier: Vec<UopId>,
     /// Trace label: the op-class name spans recorded for this program
     /// carry (static so the tracer can intern it without allocating).
     label: &'static str,
@@ -62,10 +72,7 @@ pub struct Program {
 
 impl Default for Program {
     fn default() -> Self {
-        Program {
-            uops: Vec::new(),
-            label: "program",
-        }
+        Program::with_label("program")
     }
 }
 
@@ -81,6 +88,8 @@ impl Program {
     pub fn with_label(label: &'static str) -> Self {
         Program {
             uops: Vec::new(),
+            deps: Vec::new(),
+            frontier: Vec::new(),
             label,
         }
     }
@@ -90,11 +99,12 @@ impl Program {
         self.label = label;
     }
 
-    /// Empties the program while keeping its uop allocation, so a caller
-    /// can rebuild into the same buffer on every packet without touching
-    /// the allocator. The label is preserved.
+    /// Empties the program while keeping its uop and dependency
+    /// allocations, so a caller can rebuild into the same buffer on every
+    /// packet without touching the allocator. The label is preserved.
     pub fn clear(&mut self) {
         self.uops.clear();
+        self.deps.clear();
     }
 
     /// The trace label spans for this program are recorded under.
@@ -103,16 +113,25 @@ impl Program {
         self.label
     }
 
+    /// Appends a uop whose dependencies were just pushed onto `deps`
+    /// from `start`.
+    fn push_with_deps_from(&mut self, kind: UopKind, start: usize) -> UopId {
+        let id = self.uops.len() as UopId;
+        self.uops.push(Uop {
+            kind,
+            deps: (start as u32, self.deps.len() as u32),
+        });
+        id
+    }
+
     fn push(&mut self, kind: UopKind, deps: &[UopId]) -> UopId {
         let id = self.uops.len() as UopId;
         for &d in deps {
             assert!(d < id, "dependency on a later uop");
         }
-        self.uops.push(Uop {
-            kind,
-            deps: deps.to_vec(),
-        });
-        id
+        let start = self.deps.len();
+        self.deps.extend_from_slice(deps);
+        self.push_with_deps_from(kind, start)
     }
 
     /// Appends a compute uop.
@@ -136,15 +155,15 @@ impl Program {
     /// 0-sized fallback if `other` is empty).
     pub fn append(&mut self, other: &Program, after: &[UopId]) -> Option<UopId> {
         let base = self.uops.len() as UopId;
-        for uop in &other.uops {
-            let mut deps: Vec<UopId> = uop.deps.iter().map(|d| d + base).collect();
-            if uop.deps.is_empty() {
-                deps.extend_from_slice(after);
+        for (i, uop) in other.uops.iter().enumerate() {
+            let start = self.deps.len();
+            let deps = other.deps(i);
+            if deps.is_empty() {
+                self.deps.extend_from_slice(after);
+            } else {
+                self.deps.extend(deps.iter().map(|d| d + base));
             }
-            self.uops.push(Uop {
-                kind: uop.kind,
-                deps,
-            });
+            self.push_with_deps_from(uop.kind, start);
         }
         if other.uops.is_empty() {
             None
@@ -157,6 +176,17 @@ impl Program {
     #[must_use]
     pub fn uops(&self) -> &[Uop] {
         &self.uops
+    }
+
+    /// The data dependencies of uop `i` (indices of earlier uops).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
+    #[must_use]
+    pub fn deps(&self, i: usize) -> &[UopId] {
+        let (start, end) = self.uops[i].deps;
+        &self.deps[start as usize..end as usize]
     }
 
     /// Number of micro-ops.
@@ -220,9 +250,48 @@ mod tests {
         let last = head.append(&tail, &[root]).unwrap();
         assert_eq!(last, 2);
         // tail's root now depends on head's root.
-        assert_eq!(head.uops()[1].deps, vec![root]);
+        assert_eq!(head.deps(1), [root]);
         // tail's second op depends on the rebased first.
-        assert_eq!(head.uops()[2].deps, vec![1]);
+        assert_eq!(head.deps(2), [1]);
+    }
+
+    #[test]
+    fn append_shifts_deps_and_roots_every_free_uop_on_after() {
+        let mut head = Program::new();
+        let h0 = head.load(Addr(64), &[]);
+        let h1 = head.compute(1, &[h0]);
+        let mut tail = Program::new();
+        let t0 = tail.load(Addr(128), &[]);
+        let t1 = tail.compute(3, &[]);
+        let t2 = tail.compute(1, &[t0, t1]);
+        tail.store(Addr(192), &[t2]);
+        let last = head.append(&tail, &[h0, h1]).unwrap();
+        assert_eq!(last, 5);
+        // Both dependency-free tail uops are rooted on `after`...
+        assert_eq!(head.deps(2), [h0, h1]);
+        assert_eq!(head.deps(3), [h0, h1]);
+        // ...and the rest keep their own dependencies, shifted by 2.
+        assert_eq!(head.deps(4), [2, 3]);
+        assert_eq!(head.deps(5), [4]);
+        // The head's own uops are untouched.
+        assert!(head.deps(0).is_empty());
+        assert_eq!(head.deps(1), [h0]);
+        assert_eq!(head.uops()[5].kind, UopKind::Store { addr: Addr(192) });
+    }
+
+    #[test]
+    fn clear_then_rebuild_reads_only_the_new_deps() {
+        let mut p = Program::new();
+        let a = p.load(Addr(64), &[]);
+        p.compute(1, &[a]);
+        p.clear();
+        assert!(p.is_empty());
+        let x = p.compute(2, &[]);
+        let y = p.compute(2, &[]);
+        p.store(Addr(64), &[x, y]);
+        assert!(p.deps(0).is_empty());
+        assert!(p.deps(1).is_empty());
+        assert_eq!(p.deps(2), [x, y]);
     }
 
     #[test]

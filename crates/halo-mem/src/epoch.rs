@@ -33,7 +33,9 @@ use crate::addr::{Addr, CoreId, LineAddr, SliceId, CACHE_LINE};
 use crate::cache::{CacheArray, Eviction, LineMeta, LineState};
 use crate::config::MachineConfig;
 use crate::memory::SimMemory;
-use crate::system::{slice_hash, AccessKind, AccessOutcome, HitLevel, MemStatIds, MemorySystem};
+use crate::system::{
+    l1_bank, slice_hash, AccessKind, AccessOutcome, HitLevel, MemStatIds, MemorySystem,
+};
 use halo_sim::{BankedResource, Cycle, Cycles, Resource, Stats};
 use std::collections::{HashMap, HashSet};
 
@@ -402,7 +404,7 @@ impl EpochCore<'_> {
         }
 
         // L1 lookup (real, exclusive array).
-        let t_l1 = self.l1_port.serve(line.0 as usize, at);
+        let t_l1 = self.l1_port.serve_on(l1_bank(line), at);
         if let Some(meta) = self.l1d.lookup(line) {
             let state = meta.state;
             self.stats.inc(self.ids.l1d_hit);

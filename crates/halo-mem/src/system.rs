@@ -176,6 +176,17 @@ pub(crate) fn slice_hash(line: LineAddr, slices: usize) -> SliceId {
     SliceId((h as usize) % slices)
 }
 
+/// Address-interleaved L1 banks per core: two load pipes and one store
+/// pipe per cycle on modern cores.
+pub(crate) const L1_BANKS: usize = 3;
+
+/// The L1 bank serving `line`. The divisor is a compile-time constant,
+/// so this compiles to a multiply rather than a runtime division.
+#[inline]
+pub(crate) fn l1_bank(line: LineAddr) -> usize {
+    (line.0 as usize) % L1_BANKS
+}
+
 impl MemorySystem {
     /// Builds a cold memory system for `cfg`.
     #[must_use]
@@ -185,10 +196,8 @@ impl MemorySystem {
         let llc = (0..cfg.slices)
             .map(|_| CacheArray::new(cfg.llc_slice))
             .collect();
-        // Two load + one store pipe per cycle on modern cores: model as
-        // three address-interleaved L1 banks.
         let l1_port = (0..cfg.cores)
-            .map(|_| BankedResource::new("l1d", 3, cfg.l1_latency, Cycles(1)))
+            .map(|_| BankedResource::new("l1d", L1_BANKS, cfg.l1_latency, Cycles(1)))
             .collect();
         let l2_port = (0..cfg.cores)
             .map(|_| Resource::new("l2", cfg.l2_latency, Cycles(2)))
@@ -353,7 +362,7 @@ impl MemorySystem {
         }
 
         // L1 lookup.
-        let t_l1 = self.l1_port[core.0].serve(line.0 as usize, at);
+        let t_l1 = self.l1_port[core.0].serve_on(l1_bank(line), at);
         if let Some(meta) = self.l1d[core.0].lookup(line) {
             let state = meta.state;
             self.stats.inc(self.ids.l1d_hit);
@@ -497,7 +506,7 @@ impl MemorySystem {
         let line = addr.line();
         self.stats.inc(self.ids.mem_snapshot_read);
         // L1 hit still possible and fastest.
-        let t_l1 = self.l1_port[core.0].serve(line.0 as usize, at);
+        let t_l1 = self.l1_port[core.0].serve_on(l1_bank(line), at);
         if self.l1d[core.0].peek(line).is_some() {
             return AccessOutcome {
                 complete: t_l1,
@@ -1041,6 +1050,18 @@ mod tests {
 
     fn sys() -> MemorySystem {
         MemorySystem::new(MachineConfig::small())
+    }
+
+    #[test]
+    fn l1_bank_is_the_ports_runtime_modulus() {
+        let s = sys();
+        let banks = s.l1_port[0].len();
+        assert_eq!(banks, L1_BANKS);
+        let mut rng = halo_sim::SplitMix64::new(11);
+        for i in 0..10_000u64 {
+            let line = LineAddr(if i < 64 { i } else { rng.next_u64() });
+            assert_eq!(l1_bank(line), line.0 as usize % banks, "line {line:?}");
+        }
     }
 
     #[test]

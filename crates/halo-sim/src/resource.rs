@@ -8,6 +8,9 @@
 //! Pipelined units have occupancy < latency; unpipelined ones have
 //! occupancy == latency.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use crate::cycle::{Cycle, Cycles};
 
 /// A single-server, in-order resource with configurable initiation
@@ -48,6 +51,10 @@ pub struct Resource {
 /// Intervals retained before compaction kicks in.
 const MAX_INTERVALS: usize = 256;
 
+/// Intervals [`Resource::first_unended`] scans back from the tail before
+/// it falls back to a binary search.
+const TAIL_SCAN: usize = 4;
+
 impl Resource {
     /// Creates a resource with independent latency and occupancy.
     ///
@@ -82,18 +89,35 @@ impl Resource {
         Resource::new(name, latency, latency)
     }
 
+    /// The index of the first interval ending after `start`, i.e.
+    /// `intervals.partition_point(|&(_, e)| e <= start)`.
+    ///
+    /// Intervals ending at or before `start` cannot constrain a
+    /// reservation there (they satisfy neither the gap test nor the bump
+    /// test in [`reserve`](Self::reserve)), so the caller skips them.
+    /// Interval ends ascend, and callers arrive in nearly nondecreasing
+    /// time, so the answer is almost always within a step or two of the
+    /// tail: scan back from there, and fall back to a binary search over
+    /// the unscanned prefix after [`TAIL_SCAN`] steps so the worst case
+    /// stays O(log n).
+    fn first_unended(&self, start: u64) -> usize {
+        let iv = &self.intervals;
+        let mut first = iv.len();
+        for _ in 0..TAIL_SCAN {
+            if first == 0 || iv[first - 1].1 <= start {
+                return first;
+            }
+            first -= 1;
+        }
+        iv[..first].partition_point(|&(_, e)| e <= start)
+    }
+
     /// Reserves the first idle window of `self.occupancy` cycles at or
     /// after `at`, returning its start.
     fn reserve(&mut self, at: Cycle) -> Cycle {
         let need = self.occupancy.0;
         let mut start = at.0.max(self.floor);
-        // Intervals ending at or before `start` cannot constrain the
-        // reservation (they satisfy neither the gap test nor the bump
-        // test below), so skip them wholesale. Dependent-chain callers
-        // arrive in nondecreasing time, which lands this binary search
-        // at the tail and makes the common serve O(log n) instead of a
-        // full walk.
-        let first = self.intervals.partition_point(|&(_, e)| e <= start);
+        let first = self.first_unended(start);
         // Walk the remaining intervals (sorted) looking for a gap.
         let mut insert_at = self.intervals.len();
         for (i, &(s, e)) in self.intervals.iter().enumerate().skip(first) {
@@ -105,17 +129,23 @@ impl Resource {
                 start = e;
             }
         }
-        self.intervals.insert(insert_at, (start, start + need));
-        // Merge neighbours that now touch.
-        if insert_at + 1 < self.intervals.len()
-            && self.intervals[insert_at].1 >= self.intervals[insert_at + 1].0
-        {
-            let next = self.intervals.remove(insert_at + 1);
-            self.intervals[insert_at].1 = self.intervals[insert_at].1.max(next.1);
+        // Place `[start, end)`, merged into any neighbour it touches so
+        // the list stays sorted, disjoint and free of touching pairs.
+        let iv = &mut self.intervals;
+        let mut end = start + need;
+        let joins_next = insert_at < iv.len() && end >= iv[insert_at].0;
+        if joins_next {
+            end = end.max(iv[insert_at].1);
         }
-        if insert_at > 0 && self.intervals[insert_at - 1].1 >= self.intervals[insert_at].0 {
-            let cur = self.intervals.remove(insert_at);
-            self.intervals[insert_at - 1].1 = self.intervals[insert_at - 1].1.max(cur.1);
+        let joins_prev = insert_at > 0 && iv[insert_at - 1].1 >= start;
+        match (joins_prev, joins_next) {
+            (true, true) => {
+                iv[insert_at - 1].1 = iv[insert_at - 1].1.max(end);
+                iv.remove(insert_at);
+            }
+            (true, false) => iv[insert_at - 1].1 = iv[insert_at - 1].1.max(end),
+            (false, true) => iv[insert_at] = (start, end),
+            (false, false) => iv.insert(insert_at, (start, end)),
         }
         // Compact old history: requests rarely arrive far in the past.
         if self.intervals.len() > MAX_INTERVALS {
@@ -234,7 +264,18 @@ impl BankedResource {
     /// Serves a request on bank `bank % n`.
     pub fn serve(&mut self, bank: usize, at: Cycle) -> Cycle {
         let n = self.banks.len();
-        self.banks[bank % n].serve(at)
+        self.serve_on(bank % n, at)
+    }
+
+    /// Serves a request on bank `bank`, which the caller has already
+    /// reduced below [`len`](Self::len) (e.g. with a compile-time
+    /// divisor, where [`serve`](Self::serve) pays a runtime `%`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bank >= self.len()`.
+    pub fn serve_on(&mut self, bank: usize, at: Cycle) -> Cycle {
+        self.banks[bank].serve(at)
     }
 
     /// Number of banks.
@@ -272,8 +313,8 @@ impl BankedResource {
 #[derive(Debug, Clone)]
 pub struct OutstandingWindow {
     capacity: usize,
-    /// Completion times of in-flight operations (unordered).
-    inflight: Vec<Cycle>,
+    /// Completion times of in-flight operations, earliest on top.
+    inflight: BinaryHeap<Reverse<Cycle>>,
     stalls: u64,
 }
 
@@ -288,7 +329,7 @@ impl OutstandingWindow {
         assert!(capacity > 0, "zero-capacity window");
         OutstandingWindow {
             capacity,
-            inflight: Vec::with_capacity(capacity),
+            inflight: BinaryHeap::with_capacity(capacity),
             stalls: 0,
         }
     }
@@ -298,33 +339,33 @@ impl OutstandingWindow {
     /// [`commit`](Self::commit) the operation's completion time.
     pub fn acquire(&mut self, at: Cycle) -> Cycle {
         // Drop entries that completed by `at`.
-        self.inflight.retain(|&c| c > at);
+        while self.inflight.peek().is_some_and(|&Reverse(c)| c <= at) {
+            self.inflight.pop();
+        }
         if self.inflight.len() < self.capacity {
             return at;
         }
-        // Must wait for the earliest completion.
-        let (idx, &earliest) = self
-            .inflight
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, c)| **c)
-            .expect("window full implies non-empty");
-        self.inflight.swap_remove(idx);
+        // Must wait for the earliest completion (later than `at`, since
+        // everything completed by then was just dropped).
+        let Reverse(earliest) = self.inflight.pop().expect("window full implies non-empty");
         self.stalls += 1;
-        earliest.max(at)
+        earliest
     }
 
     /// Registers the completion time of an operation whose slot was
     /// acquired.
     pub fn commit(&mut self, completes_at: Cycle) {
-        self.inflight.push(completes_at);
+        self.inflight.push(Reverse(completes_at));
     }
 
     /// The completion time of the last outstanding operation, i.e. when
     /// the window fully drains (`at` if already empty).
     #[must_use]
     pub fn drain_time(&self, at: Cycle) -> Cycle {
-        self.inflight.iter().copied().fold(at, Cycle::max)
+        self.inflight
+            .iter()
+            .map(|&Reverse(c)| c)
+            .fold(at, Cycle::max)
     }
 
     /// Number of times acquisition had to wait for a completion.
@@ -349,6 +390,7 @@ impl OutstandingWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SplitMix64;
 
     #[test]
     fn pipelined_resource_overlaps() {
@@ -465,5 +507,215 @@ mod tests {
         r.serve(Cycle(0));
         assert!((r.utilization(Cycle(20)) - 0.5).abs() < 1e-12);
         assert_eq!(r.utilization(Cycle::ZERO), 0.0);
+    }
+
+    /// The reservation search as it stood before the tail-first scan: a
+    /// `partition_point` over every interval. Kept verbatim as the
+    /// reference model for [`Resource::reserve`].
+    struct RefResource {
+        occupancy: u64,
+        intervals: Vec<(u64, u64)>,
+        floor: u64,
+        served: u64,
+        busy: u64,
+    }
+
+    impl RefResource {
+        fn new(occupancy: u64) -> Self {
+            RefResource {
+                occupancy,
+                intervals: Vec::new(),
+                floor: 0,
+                served: 0,
+                busy: 0,
+            }
+        }
+
+        fn reserve(&mut self, at: u64) -> u64 {
+            let need = self.occupancy;
+            let mut start = at.max(self.floor);
+            let first = self.intervals.partition_point(|&(_, e)| e <= start);
+            let mut insert_at = self.intervals.len();
+            for (i, &(s, e)) in self.intervals.iter().enumerate().skip(first) {
+                if start + need <= s {
+                    insert_at = i;
+                    break;
+                }
+                if start < e {
+                    start = e;
+                }
+            }
+            self.intervals.insert(insert_at, (start, start + need));
+            if insert_at + 1 < self.intervals.len()
+                && self.intervals[insert_at].1 >= self.intervals[insert_at + 1].0
+            {
+                let next = self.intervals.remove(insert_at + 1);
+                self.intervals[insert_at].1 = self.intervals[insert_at].1.max(next.1);
+            }
+            if insert_at > 0 && self.intervals[insert_at - 1].1 >= self.intervals[insert_at].0 {
+                let cur = self.intervals.remove(insert_at);
+                self.intervals[insert_at - 1].1 = self.intervals[insert_at - 1].1.max(cur.1);
+            }
+            if self.intervals.len() > MAX_INTERVALS {
+                let drop = self.intervals.len() - MAX_INTERVALS / 2;
+                self.floor = self.intervals[drop - 1].1;
+                self.intervals.drain(..drop);
+            }
+            self.served += 1;
+            self.busy += self.occupancy;
+            start
+        }
+    }
+
+    /// The outstanding window as it stood before the min-heap: an
+    /// unordered `Vec` scanned on every acquire. Reference model for
+    /// [`OutstandingWindow`].
+    struct RefWindow {
+        capacity: usize,
+        inflight: Vec<Cycle>,
+        stalls: u64,
+    }
+
+    impl RefWindow {
+        fn acquire(&mut self, at: Cycle) -> Cycle {
+            self.inflight.retain(|&c| c > at);
+            if self.inflight.len() < self.capacity {
+                return at;
+            }
+            let (idx, &earliest) = self
+                .inflight
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, c)| **c)
+                .unwrap();
+            self.inflight.swap_remove(idx);
+            self.stalls += 1;
+            earliest.max(at)
+        }
+    }
+
+    /// A seeded arrival stream: mostly advancing time with occasional
+    /// bursts at one instant, requests from far back in time (below the
+    /// compaction floor once it has moved), and idle gaps wide enough
+    /// that the interval list fills past [`MAX_INTERVALS`].
+    fn arrivals(seed: u64, n: usize) -> Vec<u64> {
+        let mut rng = SplitMix64::new(seed);
+        let mut now = 0u64;
+        (0..n)
+            .map(|_| match rng.below(10) {
+                0 => now.saturating_sub(rng.below(2_000)), // far out of order
+                1 | 2 => now.saturating_sub(rng.below(12)), // slightly out of order
+                3 => now,                                  // burst
+                _ => {
+                    now += rng.below(9);
+                    now
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn tail_first_reserve_matches_partition_point_reference() {
+        let mut below_floor = 0;
+        let mut compacted = false;
+        for seed in 0..12u64 {
+            let occupancy = 1 + seed % 4; // occupancy > 1 in most streams
+            let mut new = Resource::new("eq", Cycles(7), Cycles(occupancy));
+            let mut old = RefResource::new(occupancy);
+            for (i, at) in arrivals(seed, 6_000).into_iter().enumerate() {
+                below_floor += usize::from(at < new.floor);
+                let got = if i % 5 == 0 {
+                    new.serve_with_latency(Cycle(at), Cycles(3)).0 - 3
+                } else {
+                    new.serve(Cycle(at)).0 - 7
+                };
+                let want = old.reserve(at);
+                assert_eq!(got, want, "seed {seed} op {i} at {at}");
+                assert_eq!(new.intervals, old.intervals, "seed {seed} op {i}");
+                assert_eq!(new.floor, old.floor, "seed {seed} op {i}");
+            }
+            compacted |= new.floor > 0;
+            assert_eq!(new.served(), old.served, "seed {seed}");
+            assert_eq!(new.busy(), Cycles(old.busy), "seed {seed}");
+        }
+        assert!(compacted, "streams must overflow MAX_INTERVALS");
+        assert!(below_floor > 0, "streams must arrive below the floor");
+    }
+
+    #[test]
+    fn first_unended_is_partition_point_including_fallback() {
+        let mut rng = SplitMix64::new(7);
+        let mut r = Resource::new("scan", Cycles(1), Cycles(3));
+        for _ in 0..200 {
+            r.serve(Cycle(rng.below(5_000)));
+        }
+        let len = r.intervals.len();
+        assert!(len > 4 * TAIL_SCAN, "need a long list, got {len}");
+        let last_end = r.intervals[len - 1].1;
+        for start in (0..last_end + 5).step_by(3) {
+            let want = r.intervals.partition_point(|&(_, e)| e <= start);
+            assert_eq!(r.first_unended(start), want, "start {start}");
+        }
+    }
+
+    #[test]
+    fn heap_window_matches_vec_reference() {
+        for seed in 0..16u64 {
+            let mut rng = SplitMix64::new(seed ^ 0xace);
+            let capacity = 1 + rng.below(8) as usize;
+            let mut new = OutstandingWindow::new(capacity);
+            let mut old = RefWindow {
+                capacity,
+                inflight: Vec::new(),
+                stalls: 0,
+            };
+            let mut now = 0u64;
+            for i in 0..4_000 {
+                // Out-of-order arrivals as well as advancing ones.
+                let at = if rng.below(4) == 0 {
+                    now.saturating_sub(rng.below(50))
+                } else {
+                    now += rng.below(6);
+                    now
+                };
+                let got = new.acquire(Cycle(at));
+                let want = old.acquire(Cycle(at));
+                assert_eq!(got, want, "seed {seed} op {i}");
+                // Ties in completion time exercise the multiset semantics.
+                let done = got + Cycles(1 + rng.below(40));
+                new.commit(done);
+                old.inflight.push(done);
+                assert_eq!(new.stalls(), old.stalls, "seed {seed} op {i}");
+                let probe = Cycle(at);
+                let old_drain = old.inflight.iter().copied().fold(probe, Cycle::max);
+                assert_eq!(new.drain_time(probe), old_drain, "seed {seed} op {i}");
+            }
+            assert!(
+                new.stalls() > 0,
+                "seed {seed}: stream never filled the window"
+            );
+        }
+    }
+
+    #[test]
+    fn banked_serve_on_selects_the_same_bank_as_serve() {
+        let mut rng = SplitMix64::new(3);
+        for n in [1usize, 2, 3, 8] {
+            let mut by_mod = BankedResource::new("m", n, Cycles(4), Cycles(2));
+            let mut by_idx = BankedResource::new("i", n, Cycles(4), Cycles(2));
+            let mut now = 0u64;
+            for _ in 0..2_000 {
+                now += rng.below(3);
+                let bank = rng.next_u64() as usize;
+                assert_eq!(
+                    by_mod.serve(bank, Cycle(now)),
+                    by_idx.serve_on(bank % n, Cycle(now))
+                );
+            }
+            for (a, b) in by_mod.banks.iter().zip(&by_idx.banks) {
+                assert_eq!(a.served(), b.served());
+                assert_eq!(a.intervals, b.intervals);
+            }
+        }
     }
 }
