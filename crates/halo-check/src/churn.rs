@@ -8,46 +8,22 @@
 //! inserts and removes (flow churn) interleaved with skewed lookups.
 //! That shape drives cuckoo displacement chains through *occupied*
 //! tables, reverses Cuckoo++ presence filters under remove pressure,
-//! and re-homes EMOMA entries while their CBF steering is hot. The
-//! churn driver replays exactly that stream, checks the oracle after
-//! every op, and runs the backend's invariant auditor at a fixed epoch
-//! cadence (plus a final audit), shrinking any failure with the same
-//! ddmin pass as [`run_differential`](crate::run_differential).
+//! and re-homes EMOMA entries while their CBF steering is hot.
+//! [`run_churn_differential`] replays exactly that stream through
+//! [`exact_driver`] — the oracle after every op, the backend's own
+//! checks and its auditor at the epoch cadence — and shrinks any
+//! failure with the same ddmin pass as
+//! [`run_differential`](crate::run_differential).
 
-use std::collections::HashMap;
-
-use halo_datapath::{ExactTable, TableBackend, TrafficEvent};
-use halo_mem::SimMemory;
+use halo_datapath::{TableBackend, TrafficEvent};
 use halo_nf::{StreamConfig, StreamingTrafficGen};
 use halo_sim::point_seed;
-use halo_tables::{FlowKey, FlowTable};
 
-use crate::audit::{audit_cuckoo, audit_cuckoo_pp, audit_emoma};
-use crate::oracle::{Op, KEY_LEN};
+use crate::oracle::{exact_driver, Op, KEY_LEN};
 use crate::shrink::{shrink_ops, MinimalTrace};
-
-/// Ops between invariant audits inside [`churn_driver`]. Final-state
-/// audits run unconditionally on top of the cadence.
-pub const AUDIT_EPOCH: usize = 64;
 
 fn fold(flow: u64, key_space: u16) -> u16 {
     (flow % u64::from(key_space.max(1))) as u16
-}
-
-fn key(k: u16) -> FlowKey {
-    FlowKey::synthetic(u64::from(k), KEY_LEN)
-}
-
-/// Runs the backend's own invariant auditor, whichever backend `t` is,
-/// returning the first violation rendered as a message.
-#[must_use]
-pub fn audit_exact(t: &ExactTable, mem: &mut SimMemory) -> Option<String> {
-    let violations = match t {
-        ExactTable::Cuckoo(c) => audit_cuckoo(c, mem),
-        ExactTable::CuckooPlusPlus(c) => audit_cuckoo_pp(c, mem),
-        ExactTable::Emoma(e) => audit_emoma(e, mem),
-    };
-    violations.into_iter().next().map(|v| v.to_string())
 }
 
 /// Converts a churn-preset streaming run into a replayable op
@@ -74,62 +50,6 @@ pub fn churn_ops(flows: usize, events: usize, key_space: u16, seed: u64) -> Vec<
     ops
 }
 
-/// Replays `ops` against a fresh `backend` table (sized for the whole
-/// `key_space` at 75% occupancy, so honest inserts have headroom) and
-/// a `HashMap` oracle, checking lookups, removes, and the length after
-/// every op and auditing the backend's invariants every
-/// [`AUDIT_EPOCH`] ops and at the end. Inserts the backend rejects
-/// (e.g. an exhausted EMOMA cascade) are skipped in the model too,
-/// unless the key is present — updates must succeed in place.
-#[must_use]
-pub fn churn_driver(backend: TableBackend, key_space: u16, ops: &[Op]) -> Option<String> {
-    let mut mem = SimMemory::new();
-    let mut t = backend.build(&mut mem, usize::from(key_space.max(16)), 0.75, KEY_LEN);
-    let mut model: HashMap<u16, u64> = HashMap::new();
-    for (i, &op) in ops.iter().enumerate() {
-        match op {
-            Op::Insert(k, v) => {
-                if t.insert(&mut mem, &key(k), v).is_ok() {
-                    model.insert(k, v);
-                } else if model.contains_key(&k) {
-                    return Some(format!("op {i} ({op}): update of present key rejected"));
-                }
-            }
-            Op::Remove(k) => {
-                let got = t.remove(&mut mem, &key(k));
-                let want = model.remove(&k);
-                if got != want {
-                    return Some(format!(
-                        "op {i} ({op}): remove returned {got:?}, oracle says {want:?}"
-                    ));
-                }
-            }
-            Op::Lookup(k) | Op::Move(k) => {
-                let got = t.lookup(&mem, &key(k));
-                let want = model.get(&k).copied();
-                if got != want {
-                    return Some(format!(
-                        "op {i} ({op}): lookup returned {got:?}, oracle says {want:?}"
-                    ));
-                }
-            }
-        }
-        if t.len() != model.len() {
-            return Some(format!(
-                "op {i} ({op}): len {} diverged from oracle {}",
-                t.len(),
-                model.len()
-            ));
-        }
-        if (i + 1) % AUDIT_EPOCH == 0 {
-            if let Some(v) = audit_exact(&t, &mut mem) {
-                return Some(format!("op {i} ({op}): epoch audit violation: {v}"));
-            }
-        }
-    }
-    audit_exact(&t, &mut mem).map(|v| format!("final audit: {v}"))
-}
-
 /// Runs `cases` churn differential cases of `flows` initial flows plus
 /// `events` streaming steps (folded into `key_space` keys) against
 /// `backend`, seeding case `i` with `point_seed(name, i)`. On the
@@ -151,7 +71,14 @@ pub fn run_churn_differential(
     for i in 0..cases {
         let seed = point_seed(name, i);
         let ops = churn_ops(flows, events, key_space, seed);
-        let mut driver = |ops: &[Op]| churn_driver(backend, key_space, ops);
+        // Sized for the whole key space at 75% occupancy, so honest
+        // inserts have headroom.
+        let mut driver = |ops: &[Op]| {
+            exact_driver(
+                |mem| backend.build(mem, usize::from(key_space.max(16)), 0.75, KEY_LEN),
+                ops,
+            )
+        };
         if driver(&ops).is_some() {
             let (min_ops, error) = shrink_ops(&ops, &mut driver);
             return Err(MinimalTrace {
@@ -167,6 +94,13 @@ pub fn run_churn_differential(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use halo_mem::SimMemory;
+    use halo_tables::{FlowKey, FlowTable};
+    use std::collections::HashMap;
+
+    fn key(k: u16) -> FlowKey {
+        FlowKey::synthetic(u64::from(k), KEY_LEN)
+    }
 
     #[test]
     fn churn_ops_start_with_the_live_set_and_pair_churn() {

@@ -9,58 +9,23 @@
 //! The schedule is generic over [`FaultTarget`], so the same adversary
 //! drives the baseline [`CuckooTable`], the presence-filtered
 //! [`CuckooPlusPlusTable`], and the CBF-steered [`EmomaTable`] — each
-//! with its own structure-specific auditor.
+//! with the structure-specific auditor its [`ExactTarget`] hooks name.
 
 use halo_accel::{AcceleratorConfig, HaloEngine};
+use halo_datapath::TableBackend;
 use halo_mem::{Addr, CoreId, MachineConfig, MemorySystem, SimMemory};
 use halo_sim::{Cycle, Cycles, SplitMix64};
-use halo_tables::{CuckooPlusPlusTable, CuckooTable, EmomaTable, FlowKey, FlowTable};
+use halo_tables::{CuckooPlusPlusTable, CuckooTable, EmomaTable, FlowKey};
 use std::collections::HashMap;
 
-use crate::audit::{
-    audit_cuckoo, audit_cuckoo_pp, audit_emoma, audit_system, audit_table_placement,
-};
-use crate::oracle::KEY_LEN;
+use crate::audit::{audit_system, audit_table_placement};
+use crate::oracle::{ExactTarget, KEY_LEN};
 use crate::{audit_enabled, Violation};
 
-/// Which table implementation a fault-injection run targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FaultBackend {
-    /// The baseline DPDK-style [`CuckooTable`].
-    #[default]
-    Cuckoo,
-    /// [`CuckooPlusPlusTable`] with per-bucket presence filters.
-    CuckooPlusPlus,
-    /// [`EmomaTable`] with counting-Bloom-filter steering.
-    Emoma,
-}
-
-impl FaultBackend {
-    /// Every backend the injector can target.
-    #[must_use]
-    pub fn all() -> [FaultBackend; 3] {
-        [
-            FaultBackend::Cuckoo,
-            FaultBackend::CuckooPlusPlus,
-            FaultBackend::Emoma,
-        ]
-    }
-
-    /// Stable display name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultBackend::Cuckoo => "cuckoo",
-            FaultBackend::CuckooPlusPlus => "cuckoo++",
-            FaultBackend::Emoma => "emoma",
-        }
-    }
-}
-
-/// A table the fault injector can adversarially drive: the [`FlowTable`]
-/// operations plus the backend's native two-phase move protocol and its
-/// structure-specific invariant auditor.
-pub trait FaultTarget: FlowTable {
+/// A table the fault injector can adversarially drive: the oracle
+/// driver's [`ExactTarget`] hooks (including the structure-specific
+/// auditor) plus the backend's native two-phase move protocol.
+pub trait FaultTarget: ExactTarget {
     /// Token representing a move between `begin` and `commit`.
     type Pending;
 
@@ -71,9 +36,6 @@ pub trait FaultTarget: FlowTable {
     /// Completes a move started by
     /// [`fault_move_begin`](Self::fault_move_begin).
     fn fault_move_commit(&mut self, mem: &mut SimMemory, mv: Self::Pending);
-
-    /// The backend's structural auditor (empty on success).
-    fn audit(&self, mem: &mut SimMemory) -> Vec<Violation>;
 }
 
 impl FaultTarget for CuckooTable {
@@ -85,10 +47,6 @@ impl FaultTarget for CuckooTable {
 
     fn fault_move_commit(&mut self, mem: &mut SimMemory, mv: Self::Pending) {
         self.cuckoo_move_commit(mem, mv);
-    }
-
-    fn audit(&self, mem: &mut SimMemory) -> Vec<Violation> {
-        audit_cuckoo(self, mem)
     }
 }
 
@@ -102,10 +60,6 @@ impl FaultTarget for CuckooPlusPlusTable {
     fn fault_move_commit(&mut self, mem: &mut SimMemory, mv: Self::Pending) {
         self.cuckoo_move_commit(mem, mv);
     }
-
-    fn audit(&self, mem: &mut SimMemory) -> Vec<Violation> {
-        audit_cuckoo_pp(self, mem)
-    }
 }
 
 impl FaultTarget for EmomaTable {
@@ -117,10 +71,6 @@ impl FaultTarget for EmomaTable {
 
     fn fault_move_commit(&mut self, mem: &mut SimMemory, mv: Self::Pending) {
         self.move_commit(mem, mv);
-    }
-
-    fn audit(&self, mem: &mut SimMemory) -> Vec<Violation> {
-        audit_emoma(self, mem)
     }
 }
 
@@ -143,7 +93,7 @@ pub struct FaultConfig {
     /// `fault_move_begin` and `fault_move_commit`.
     pub move_window: usize,
     /// Table implementation under attack.
-    pub backend: FaultBackend,
+    pub backend: TableBackend,
 }
 
 impl Default for FaultConfig {
@@ -155,7 +105,7 @@ impl Default for FaultConfig {
             evict_chance: 0.2,
             stall_burst: 24,
             move_window: 4,
-            backend: FaultBackend::Cuckoo,
+            backend: TableBackend::Cuckoo,
         }
     }
 }
@@ -195,15 +145,15 @@ fn key(k: u16) -> FlowKey {
 pub fn run_fault_injection(cfg: &FaultConfig) -> Result<FaultReport, String> {
     let mut sys = MemorySystem::new(MachineConfig::small());
     match cfg.backend {
-        FaultBackend::Cuckoo => {
+        TableBackend::Cuckoo => {
             let t = CuckooTable::create(sys.data_mut(), 1 << 9, KEY_LEN);
             run_fault_schedule(cfg, sys, t)
         }
-        FaultBackend::CuckooPlusPlus => {
+        TableBackend::CuckooPlusPlus => {
             let t = CuckooPlusPlusTable::create(sys.data_mut(), 1 << 9, KEY_LEN);
             run_fault_schedule(cfg, sys, t)
         }
-        FaultBackend::Emoma => {
+        TableBackend::Emoma => {
             let t = EmomaTable::create(sys.data_mut(), 1 << 9, KEY_LEN);
             run_fault_schedule(cfg, sys, t)
         }
@@ -406,7 +356,7 @@ mod tests {
 
     #[test]
     fn every_backend_survives_faults() {
-        for (i, backend) in FaultBackend::all().into_iter().enumerate() {
+        for (i, backend) in TableBackend::all().into_iter().enumerate() {
             let cfg = FaultConfig {
                 seed: point_seed("fault.backends", i as u64),
                 ops: 120,

@@ -12,7 +12,11 @@
 //!   [`TcamTable`](halo_tcam::TcamTable), and
 //!   [`HaloEngine`](halo_accel::HaloEngine) (whose `lookup_b` /
 //!   `lookup_nb` / `snapshot_read` paths must all agree with plain
-//!   software lookup and the oracle after every op). Failing sequences
+//!   software lookup and the oracle after every op). Every exact-match
+//!   table runs through one driver, [`exact_driver`], whose
+//!   per-backend [`ExactTarget`] hooks add native moves, free-slot
+//!   accounting, the backend's own property (Cuckoo++ single-probe
+//!   negatives, EMOMA one bucket per lookup) and its auditor. Failing sequences
 //!   are automatically shrunk to a minimal replayable trace printed as a
 //!   seed plus an op list ([`MinimalTrace`]). The churn variant
 //!   ([`run_churn_differential`]) replays the streaming traffic
@@ -44,10 +48,13 @@
 //! # Examples
 //!
 //! ```
-//! use halo_check::{cuckoo_driver, run_differential};
+//! use halo_check::{exact_driver, run_differential, KEY_LEN};
+//! use halo_tables::CuckooTable;
 //!
-//! run_differential("doc.cuckoo", 2, 60, 256, |ops| cuckoo_driver(ops))
-//!     .expect("cuckoo agrees with the oracle");
+//! run_differential("doc.cuckoo", 2, 60, 256, |ops| {
+//!     exact_driver(|mem| CuckooTable::create(mem, 1 << 10, KEY_LEN), ops)
+//! })
+//! .expect("cuckoo agrees with the oracle");
 //! ```
 
 #![warn(missing_docs)]
@@ -63,11 +70,11 @@ mod wildcard;
 pub use audit::{
     audit_cuckoo, audit_cuckoo_pp, audit_emoma, audit_system, audit_table_placement, Violation,
 };
-pub use churn::{audit_exact, churn_driver, churn_ops, run_churn_differential, AUDIT_EPOCH};
-pub use fault::{run_fault_injection, FaultBackend, FaultConfig, FaultReport, FaultTarget};
+pub use churn::{churn_ops, run_churn_differential};
+pub use fault::{run_fault_injection, FaultConfig, FaultReport, FaultTarget};
 pub use oracle::{
-    buggy_cuckoo_driver, cuckoo_driver, cuckoo_pp_driver, emoma_driver, engine_driver,
-    flow_table_driver, gen_ops, kvstore_driver, sfh_driver, tcam_driver, Op, KEY_LEN,
+    buggy_cuckoo_driver, engine_driver, exact_driver, gen_ops, kvstore_driver, ExactTarget, Op,
+    AUDIT_EPOCH, KEY_LEN,
 };
 pub use shrink::{run_differential, shrink_ops, MinimalTrace};
 pub use wildcard::{

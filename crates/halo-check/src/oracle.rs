@@ -8,24 +8,30 @@
 //! fully deterministic.
 
 use halo_accel::{AcceleratorConfig, HaloEngine};
+use halo_datapath::ExactTable;
 use halo_kvstore::KvStore;
 use halo_mem::{CoreId, MachineConfig, MemorySystem, SimMemory};
 use halo_sim::{Cycle, Cycles, SplitMix64};
 use halo_tables::{
     bucket_pair, hash_key, signature, CuckooPlusPlusTable, CuckooTable, EmomaTable, FlowKey,
-    FlowTable, SfhTable, ENTRIES_PER_BUCKET, SEED_PRIMARY,
+    FlowTable, SfhTable, TraceStep, ENTRIES_PER_BUCKET, SEED_PRIMARY,
 };
 use halo_tcam::TcamTable;
 use std::collections::HashMap;
 use std::fmt;
 
 use crate::audit::{
-    audit_cuckoo, audit_cuckoo_pp, audit_emoma, audit_system, audit_table_placement,
+    audit_cuckoo, audit_cuckoo_pp, audit_emoma, audit_system, audit_table_placement, Violation,
 };
 use crate::audit_enabled;
 
 /// Key length (bytes) of every generated flow key.
 pub const KEY_LEN: usize = 13;
+
+/// Ops between invariant audits inside [`exact_driver`] when per-op
+/// auditing is off. Final-state audits run unconditionally on top of
+/// the cadence.
+pub const AUDIT_EPOCH: usize = 64;
 
 /// Values are generated below this bound so every value is encodable by
 /// the `LOOKUP_NB` destination-word scheme (which reserves the all-ones
@@ -92,267 +98,226 @@ fn diverge(i: usize, op: Op, what: &str, got: impl fmt::Debug, want: impl fmt::D
     format!("op {i} ({op}): {what} returned {got:?}, oracle says {want:?}")
 }
 
-/// Replays `ops` against a [`CuckooTable`] and a `HashMap` oracle,
-/// checking lookup results, remove results, length, and free-list
-/// accounting after every op. Returns the first divergence, if any.
-#[must_use]
-pub fn cuckoo_driver(ops: &[Op]) -> Option<String> {
-    let mut mem = SimMemory::new();
-    let mut t = CuckooTable::create(&mut mem, 1 << 10, KEY_LEN); // 8192 slots
-    let mut model: HashMap<u16, u64> = HashMap::new();
-    for (i, &op) in ops.iter().enumerate() {
-        match op {
-            Op::Insert(k, v) => {
-                if t.insert(&mut mem, &key(k), v).is_err() {
-                    return Some(format!("op {i} ({op}): insert rejected with headroom"));
-                }
-                model.insert(k, v);
-            }
-            Op::Remove(k) => {
-                let got = t.remove(&mut mem, &key(k));
-                let want = model.remove(&k);
-                if got != want {
-                    return Some(diverge(i, op, "remove", got, want));
-                }
-            }
-            Op::Lookup(k) | Op::Move(k) => {
-                if matches!(op, Op::Move(_)) {
-                    t.cuckoo_move(&mut mem, &key(k));
-                }
-                let got = t.lookup(&mem, &key(k));
-                let want = model.get(&k).copied();
-                if got != want {
-                    return Some(diverge(i, op, "lookup", got, want));
-                }
-            }
-        }
-        if t.len() != model.len() {
-            return Some(diverge(i, op, "len", t.len(), model.len()));
-        }
-        if t.len() + t.free_slots() != t.capacity() {
-            return Some(format!(
-                "op {i} ({op}): occupancy accounting broken: len {} + free {} != capacity {}",
-                t.len(),
-                t.free_slots(),
-                t.capacity()
-            ));
-        }
-    }
-    if let Some(v) = audit_cuckoo(&t, &mut mem).into_iter().next() {
-        return Some(format!("final audit: {v}"));
-    }
-    None
+/// Loaded buckets in a software lookup of `key`.
+fn bucket_probes(t: &impl FlowTable, mem: &SimMemory, key: &FlowKey) -> (Option<u64>, usize) {
+    let tr = t.lookup_traced(mem, key, false);
+    let probes = tr
+        .steps
+        .iter()
+        .filter(|s| matches!(s, TraceStep::LoadBucket(_)))
+        .count();
+    (tr.result, probes)
 }
 
-/// Replays `ops` against a [`CuckooPlusPlusTable`] and a `HashMap`
-/// oracle: the [`flow_table_driver`] checks plus the native cuckoo
-/// notions the trait cannot express — `Move` exercises the real
-/// two-phase displacement, free-slot accounting is checked after every
-/// op, negative lookups are spot-checked to take a **single** bucket
-/// probe (the presence filter's whole point), and the filter-exactness
-/// auditor runs per-op under [`audit_enabled`](crate::audit_enabled)
-/// and always at the end.
-#[must_use]
-pub fn cuckoo_pp_driver(ops: &[Op]) -> Option<String> {
-    let mut mem = SimMemory::new();
-    let mut t = CuckooPlusPlusTable::create(&mut mem, 1 << 10, KEY_LEN); // 8192 slots
-    let mut model: HashMap<u16, u64> = HashMap::new();
-    for (i, &op) in ops.iter().enumerate() {
-        match op {
-            Op::Insert(k, v) => {
-                if t.insert(&mut mem, &key(k), v).is_err() {
-                    return Some(format!("op {i} ({op}): insert rejected with headroom"));
-                }
-                model.insert(k, v);
-            }
-            Op::Remove(k) => {
-                let got = t.remove(&mut mem, &key(k));
-                let want = model.remove(&k);
-                if got != want {
-                    return Some(diverge(i, op, "remove", got, want));
-                }
-                // The satellite regression, continuously: once a key is
-                // gone its negative lookup must cost one bucket probe.
-                if want.is_some() {
-                    let tr = t.lookup_traced(&mem, &key(k), false);
-                    let probes = tr
-                        .steps
-                        .iter()
-                        .filter(|s| matches!(s, halo_tables::TraceStep::LoadBucket(_)))
-                        .count();
-                    if tr.result.is_some() || probes != 1 {
-                        return Some(format!(
-                            "op {i} ({op}): removed key still hot: result {:?}, {probes} probes",
-                            tr.result
-                        ));
-                    }
-                }
-            }
-            Op::Lookup(k) | Op::Move(k) => {
-                if matches!(op, Op::Move(_)) {
-                    t.cuckoo_move(&mut mem, &key(k));
-                }
-                let got = t.lookup(&mem, &key(k));
-                let want = model.get(&k).copied();
-                if got != want {
-                    return Some(diverge(i, op, "lookup", got, want));
-                }
-            }
-        }
-        if t.len() != model.len() {
-            return Some(diverge(i, op, "len", t.len(), model.len()));
-        }
-        if t.len() + t.free_slots() != t.capacity() {
-            return Some(format!(
-                "op {i} ({op}): occupancy accounting broken: len {} + free {} != capacity {}",
-                t.len(),
-                t.free_slots(),
-                t.capacity()
-            ));
-        }
-        if audit_enabled() {
-            if let Some(v) = audit_cuckoo_pp(&t, &mut mem).into_iter().next() {
-                return Some(format!("op {i} ({op}): audit violation: {v}"));
-            }
-        }
+/// The per-backend hooks of [`exact_driver`]: what a table natively
+/// does beyond the [`FlowTable`] trait, and which properties it
+/// promises on top of agreeing with the oracle. Every default is the
+/// trait-level behaviour, so a backend only states what it adds.
+pub trait ExactTarget: FlowTable {
+    /// Performs [`Op::Move`] natively (a cuckoo relocation or an EMOMA
+    /// displacement, which may legitimately refuse). By default there
+    /// is no native move and the op is a plain lookup.
+    fn native_move(&mut self, _mem: &mut SimMemory, _key: &FlowKey) {}
+
+    /// Whether an insert of an absent key may be refused (EMOMA's
+    /// cascade budget, a full SFH bucket, a full TCAM). Updates of
+    /// present keys must always succeed in place.
+    fn may_refuse_fresh(&self) -> bool {
+        true
     }
-    if let Some(v) = audit_cuckoo_pp(&t, &mut mem).into_iter().next() {
-        return Some(format!("final audit: {v}"));
+
+    /// Free entry slots, when the backend keeps a free list;
+    /// `len + free == capacity` is then checked after every op.
+    fn free_slot_count(&self) -> Option<usize> {
+        None
     }
-    None
+
+    /// The backend's own property, checked after every op once the
+    /// oracle agrees; `before` is the op key's value before the op.
+    fn check_op(&self, _mem: &SimMemory, _op: Op, _before: Option<u64>) -> Option<String> {
+        None
+    }
+
+    /// The backend's structural invariant auditor (empty on success).
+    fn audit(&self, _mem: &mut SimMemory) -> Vec<Violation> {
+        Vec::new()
+    }
 }
 
-/// Replays `ops` against an [`EmomaTable`] and a `HashMap` oracle.
-/// `Move` exercises the steering-aware two-phase displacement (which
-/// may legitimately refuse, e.g. when moving home would strand the key
-/// CBF-positive); inserts that exhaust the cascade budget are skipped
-/// in the model too, unless the key is present (updates must succeed in
-/// place). Every positive lookup is required to take exactly **one**
-/// bucket probe — the EMOMA property — and the steering/CBF/tracking
-/// auditor runs per-op under [`audit_enabled`](crate::audit_enabled)
-/// and always at the end.
+impl ExactTarget for CuckooTable {
+    fn native_move(&mut self, mem: &mut SimMemory, key: &FlowKey) {
+        self.cuckoo_move(mem, key);
+    }
+    fn may_refuse_fresh(&self) -> bool {
+        false
+    }
+    fn free_slot_count(&self) -> Option<usize> {
+        Some(self.free_slots())
+    }
+    fn audit(&self, mem: &mut SimMemory) -> Vec<Violation> {
+        audit_cuckoo(self, mem)
+    }
+}
+
+impl ExactTarget for CuckooPlusPlusTable {
+    fn native_move(&mut self, mem: &mut SimMemory, key: &FlowKey) {
+        self.cuckoo_move(mem, key);
+    }
+    fn may_refuse_fresh(&self) -> bool {
+        false
+    }
+    fn free_slot_count(&self) -> Option<usize> {
+        Some(self.free_slots())
+    }
+    /// Once a key is removed its negative lookup costs one bucket
+    /// probe: the presence filter's whole point.
+    fn check_op(&self, mem: &SimMemory, op: Op, before: Option<u64>) -> Option<String> {
+        let Op::Remove(k) = op else { return None };
+        before?;
+        let (result, probes) = bucket_probes(self, mem, &key(k));
+        (result.is_some() || probes != 1)
+            .then(|| format!("removed key still hot: result {result:?}, {probes} probes"))
+    }
+    fn audit(&self, mem: &mut SimMemory) -> Vec<Violation> {
+        audit_cuckoo_pp(self, mem)
+    }
+}
+
+impl ExactTarget for EmomaTable {
+    fn native_move(&mut self, mem: &mut SimMemory, key: &FlowKey) {
+        self.displace(mem, key);
+    }
+    fn free_slot_count(&self) -> Option<usize> {
+        Some(self.free_slots())
+    }
+    /// Every lookup, hit or miss, touches exactly one bucket: the
+    /// counting Bloom filter's steering.
+    fn check_op(&self, mem: &SimMemory, op: Op, _before: Option<u64>) -> Option<String> {
+        let (_, probes) = bucket_probes(self, mem, &key(op.key_id()));
+        (probes != 1).then(|| format!("EMOMA lookup took {probes} bucket probes"))
+    }
+    fn audit(&self, mem: &mut SimMemory) -> Vec<Violation> {
+        audit_emoma(self, mem)
+    }
+}
+
+impl ExactTarget for SfhTable {}
+
+impl ExactTarget for TcamTable {}
+
+/// The runtime-selected table forwards every hook to its backend, so
+/// a [`TableBackend`](halo_datapath::TableBackend) run gets exactly the
+/// checks of the concrete table.
+impl ExactTarget for ExactTable {
+    fn native_move(&mut self, mem: &mut SimMemory, key: &FlowKey) {
+        match self {
+            ExactTable::Cuckoo(t) => t.native_move(mem, key),
+            ExactTable::CuckooPlusPlus(t) => t.native_move(mem, key),
+            ExactTable::Emoma(t) => t.native_move(mem, key),
+        }
+    }
+    fn may_refuse_fresh(&self) -> bool {
+        inner(self).may_refuse_fresh()
+    }
+    fn free_slot_count(&self) -> Option<usize> {
+        inner(self).free_slot_count()
+    }
+    fn check_op(&self, mem: &SimMemory, op: Op, before: Option<u64>) -> Option<String> {
+        inner(self).check_op(mem, op, before)
+    }
+    fn audit(&self, mem: &mut SimMemory) -> Vec<Violation> {
+        inner(self).audit(mem)
+    }
+}
+
+fn inner(t: &ExactTable) -> &dyn ExactTarget {
+    match t {
+        ExactTable::Cuckoo(t) => t,
+        ExactTable::CuckooPlusPlus(t) => t,
+        ExactTable::Emoma(t) => t,
+    }
+}
+
+/// Replays `ops` against the table `build` makes in fresh memory and a
+/// `HashMap` oracle — the one exact-match differential driver.
+///
+/// After every op it compares lookup and remove results and the
+/// length with the oracle, then runs the backend's [`ExactTarget`]
+/// hooks: free-slot accounting where tracked, the backend's own
+/// property ([`ExactTarget::check_op`]), and its auditor — after every
+/// op under [`audit_enabled`](crate::audit_enabled), otherwise every
+/// [`AUDIT_EPOCH`] ops, and always at the end.
+///
+/// Ops degrade per capability: `Move` is the backend's
+/// [`native_move`](ExactTarget::native_move) followed by a lookup, and
+/// `Remove` is a lookup when [`FlowTable::supports_remove`] is false.
+/// A refused insert of an absent key is skipped in the oracle when the
+/// backend [may refuse](ExactTarget::may_refuse_fresh) one, and is a
+/// divergence otherwise.
 #[must_use]
-pub fn emoma_driver(ops: &[Op]) -> Option<String> {
+pub fn exact_driver<T: ExactTarget>(
+    build: impl FnOnce(&mut SimMemory) -> T,
+    ops: &[Op],
+) -> Option<String> {
     let mut mem = SimMemory::new();
-    let mut t = EmomaTable::create(&mut mem, 1 << 10, KEY_LEN); // 8192 slots
+    let mut t = build(&mut mem);
     let mut model: HashMap<u16, u64> = HashMap::new();
     for (i, &op) in ops.iter().enumerate() {
+        let before = model.get(&op.key_id()).copied();
         match op {
             Op::Insert(k, v) => {
                 if t.insert(&mut mem, &key(k), v).is_ok() {
                     model.insert(k, v);
-                } else if model.contains_key(&k) {
-                    return Some(format!("op {i} ({op}): update of present key rejected"));
-                }
-            }
-            Op::Remove(k) => {
-                let got = t.remove(&mut mem, &key(k));
-                let want = model.remove(&k);
-                if got != want {
-                    return Some(diverge(i, op, "remove", got, want));
-                }
-            }
-            Op::Lookup(k) | Op::Move(k) => {
-                if matches!(op, Op::Move(_)) {
-                    t.displace(&mut mem, &key(k));
-                }
-                let tr = t.lookup_traced(&mem, &key(k), false);
-                let want = model.get(&k).copied();
-                if tr.result != want {
-                    return Some(diverge(i, op, "lookup", tr.result, want));
-                }
-                let probes = tr
-                    .steps
-                    .iter()
-                    .filter(|s| matches!(s, halo_tables::TraceStep::LoadBucket(_)))
-                    .count();
-                if probes != 1 {
+                } else if before.is_some() || !t.may_refuse_fresh() {
                     return Some(format!(
-                        "op {i} ({op}): EMOMA lookup took {probes} bucket probes"
+                        "op {i} ({op}): insert rejected (key present: {})",
+                        before.is_some()
                     ));
                 }
             }
-        }
-        if t.len() != model.len() {
-            return Some(diverge(i, op, "len", t.len(), model.len()));
-        }
-        if t.len() + t.free_slots() != t.capacity() {
-            return Some(format!(
-                "op {i} ({op}): occupancy accounting broken: len {} + free {} != capacity {}",
-                t.len(),
-                t.free_slots(),
-                t.capacity()
-            ));
-        }
-        if audit_enabled() {
-            if let Some(v) = audit_emoma(&t, &mut mem).into_iter().next() {
-                return Some(format!("op {i} ({op}): audit violation: {v}"));
-            }
-        }
-    }
-    if let Some(v) = audit_emoma(&t, &mut mem).into_iter().next() {
-        return Some(format!("final audit: {v}"));
-    }
-    None
-}
-
-/// Replays `ops` against any [`FlowTable`] implementation through the
-/// trait alone, so one differential driver covers every table backend.
-///
-/// Semantics are degraded per the backend's capabilities, exactly as
-/// the tuple space does: `Remove` becomes a lookup when
-/// [`FlowTable::supports_remove`] is false, and `Move` (a cuckoo-only
-/// notion) is always a lookup at the trait level. Inserts that fail on
-/// a backend with limited headroom (e.g. an SFH bucket overflowing) are
-/// skipped in the model too — unless the key is already present, in
-/// which case an update must succeed in place.
-#[must_use]
-pub fn flow_table_driver<T: FlowTable>(
-    mem: &mut SimMemory,
-    table: &mut T,
-    ops: &[Op],
-) -> Option<String> {
-    let mut model: HashMap<u16, u64> = HashMap::new();
-    for (i, &op) in ops.iter().enumerate() {
-        match op {
-            Op::Insert(k, v) => {
-                if table.insert(mem, &key(k), v).is_ok() {
-                    model.insert(k, v);
-                } else if model.contains_key(&k) {
-                    // A present key always updates in place.
-                    return Some(format!("op {i} ({op}): update of present key rejected"));
-                }
-            }
-            Op::Remove(k) if table.supports_remove() => {
-                let got = table.remove(mem, &key(k));
+            Op::Remove(k) if t.supports_remove() => {
+                let got = t.remove(&mut mem, &key(k));
                 let want = model.remove(&k);
                 if got != want {
                     return Some(diverge(i, op, "remove", got, want));
                 }
             }
             Op::Remove(k) | Op::Lookup(k) | Op::Move(k) => {
-                let got = table.lookup(mem, &key(k));
+                if matches!(op, Op::Move(_)) {
+                    t.native_move(&mut mem, &key(k));
+                }
+                let got = t.lookup(&mem, &key(k));
                 let want = model.get(&k).copied();
                 if got != want {
                     return Some(diverge(i, op, "lookup", got, want));
                 }
             }
         }
-        if table.len() != model.len() {
-            return Some(diverge(i, op, "len", table.len(), model.len()));
+        if t.len() != model.len() {
+            return Some(diverge(i, op, "len", t.len(), model.len()));
+        }
+        if let Some(free) = t.free_slot_count() {
+            if t.len() + free != t.capacity() {
+                return Some(format!(
+                    "op {i} ({op}): occupancy accounting broken: len {} + free {free} != capacity {}",
+                    t.len(),
+                    t.capacity()
+                ));
+            }
+        }
+        if let Some(e) = t.check_op(&mem, op, before) {
+            return Some(format!("op {i} ({op}): {e}"));
+        }
+        if audit_enabled() || (i + 1) % AUDIT_EPOCH == 0 {
+            if let Some(v) = t.audit(&mut mem).into_iter().next() {
+                return Some(format!("op {i} ({op}): audit violation: {v}"));
+            }
         }
     }
-    None
-}
-
-/// Replays `ops` against an [`SfhTable`] via [`flow_table_driver`]. The
-/// SFH has no remove and no cuckoo move, so those ops degrade to
-/// lookups; inserts a full bucket rejects are skipped in the oracle too.
-#[must_use]
-pub fn sfh_driver(ops: &[Op]) -> Option<String> {
-    let mut mem = SimMemory::new();
-    let mut t = SfhTable::create(&mut mem, 1 << 12, KEY_LEN);
-    flow_table_driver(&mut mem, &mut t, ops)
+    t.audit(&mut mem)
+        .into_iter()
+        .next()
+        .map(|v| format!("final audit: {v}"))
 }
 
 /// Replays `ops` against a [`KvStore`] (cuckoo-indexed log store) with
@@ -391,16 +356,6 @@ pub fn kvstore_driver(ops: &[Op]) -> Option<String> {
         }
     }
     None
-}
-
-/// Replays `ops` against a [`TcamTable`] via [`flow_table_driver`]:
-/// the trait impl keeps one exact (all-ones-mask) entry per live key,
-/// updating in place on re-insert and removing it on `Remove`.
-#[must_use]
-pub fn tcam_driver(ops: &[Op]) -> Option<String> {
-    let mut mem = SimMemory::new();
-    let mut t = TcamTable::new(1 << 16, 4);
-    flow_table_driver(&mut mem, &mut t, ops)
 }
 
 /// Replays `ops` against the full [`HaloEngine`] stack over a
@@ -561,33 +516,50 @@ mod tests {
         assert_ne!(a, c, "different seeds should differ");
     }
 
+    fn cuckoo(mem: &mut SimMemory) -> CuckooTable {
+        CuckooTable::create(mem, 1 << 10, KEY_LEN)
+    }
+
     #[test]
     fn drivers_pass_a_quick_stream() {
         let mut rng = SplitMix64::new(point_seed("oracle.smoke", 0));
         let ops = gen_ops(&mut rng, 40, 64);
-        assert_eq!(cuckoo_driver(&ops), None);
-        assert_eq!(cuckoo_pp_driver(&ops), None);
-        assert_eq!(emoma_driver(&ops), None);
-        assert_eq!(sfh_driver(&ops), None);
-        assert_eq!(tcam_driver(&ops), None);
+        assert_eq!(exact_driver(cuckoo, &ops), None);
+        assert_eq!(
+            exact_driver(|m| CuckooPlusPlusTable::create(m, 1 << 10, KEY_LEN), &ops),
+            None
+        );
+        assert_eq!(
+            exact_driver(|m| EmomaTable::create(m, 1 << 10, KEY_LEN), &ops),
+            None
+        );
+        assert_eq!(
+            exact_driver(|m| SfhTable::create(m, 1 << 12, KEY_LEN), &ops),
+            None
+        );
+        assert_eq!(exact_driver(|_| TcamTable::new(1 << 16, 4), &ops), None);
     }
 
-    /// The trait-level driver accepts every backend, including the
-    /// cuckoo table (whose specialized driver additionally checks
-    /// free-slot accounting and cuckoo moves).
+    /// The runtime-selected table carries its backend's hooks: only
+    /// EMOMA may refuse a fresh insert, and every backend accounts
+    /// free slots.
     #[test]
-    fn generic_driver_covers_the_cuckoo_backend() {
-        let mut rng = SplitMix64::new(point_seed("oracle.generic", 0));
-        let ops = gen_ops(&mut rng, 60, 64);
+    fn exact_table_forwards_backend_hooks() {
         let mut mem = SimMemory::new();
-        let mut t = CuckooTable::create(&mut mem, 1 << 10, KEY_LEN);
-        assert_eq!(flow_table_driver(&mut mem, &mut t, &ops), None);
+        for backend in halo_datapath::TableBackend::all() {
+            let t = backend.build(&mut mem, 64, 0.75, KEY_LEN);
+            assert_eq!(
+                t.may_refuse_fresh(),
+                backend == halo_datapath::TableBackend::Emoma
+            );
+            assert!(t.free_slot_count().is_some());
+        }
     }
 
     #[test]
     fn buggy_driver_diverges_on_insert_then_remove() {
         let ops = [Op::Insert(3, 7), Op::Remove(3)];
         assert!(buggy_cuckoo_driver(&ops).is_some(), "leak must be caught");
-        assert_eq!(cuckoo_driver(&ops), None, "real table must pass");
+        assert_eq!(exact_driver(cuckoo, &ops), None, "real table must pass");
     }
 }

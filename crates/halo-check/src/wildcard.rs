@@ -26,7 +26,7 @@ use halo_sim::{point_seed, SplitMix64};
 use halo_tables::{FlowKey, FlowTable};
 
 use crate::audit_enabled;
-use crate::churn::AUDIT_EPOCH;
+use crate::oracle::AUDIT_EPOCH;
 use crate::shrink::{shrink_ops, MinimalTrace};
 use crate::Violation;
 

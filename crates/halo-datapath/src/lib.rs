@@ -311,7 +311,7 @@ impl LookupExecutor {
     /// executor's backend:
     ///
     /// * [`LookupBackend::Software`] — each probe replayed sequentially
-    ///   on the core.
+    ///   on the core, against any [`CoreMem`] context.
     /// * [`LookupBackend::HaloBlocking`] — a burst of `LOOKUP_B`s, the
     ///   core blocking on each.
     /// * [`LookupBackend::HaloNonBlocking`] — every probe issued
@@ -322,68 +322,63 @@ impl LookupExecutor {
     ///
     /// # Panics
     ///
-    /// Panics if a HALO backend is configured but `engine` is `None`,
-    /// or if the non-blocking backend runs without an [`NbRegion`]
-    /// large enough for `probes`.
-    pub fn search<W: WildcardTable + ?Sized>(
+    /// Panics if a HALO backend runs outside the classic
+    /// [`MemorySystem`] (see [`CoreMem::memory_system`]) or with
+    /// `engine` `None`, or if the non-blocking backend runs without an
+    /// [`NbRegion`] large enough for `probes`.
+    pub fn search<S: CoreMem, W: WildcardTable + ?Sized>(
         &mut self,
-        sys: &mut MemorySystem,
+        sys: &mut S,
         engine: Option<&mut HaloEngine>,
         space: &W,
         key: &FlowKey,
         probes: &[(usize, LookupTrace)],
         at: Cycle,
     ) -> Cycle {
-        match self.backend {
-            LookupBackend::Software => {
-                let mut t = at;
-                for (_, tr) in probes {
-                    t = self.run_sw(sys, tr, None, t);
-                }
-                t
+        if self.backend == LookupBackend::Software {
+            let mut t = at;
+            for (_, tr) in probes {
+                t = self.run_sw(sys, tr, None, t);
             }
-            LookupBackend::HaloBlocking => {
-                let engine = engine.expect("HALO backend needs an engine");
-                let base_hash = hash_key(key, SEED_PRIMARY);
-                engine.dispatch_burst(
-                    sys,
-                    self.core,
-                    probes
-                        .iter()
-                        .map(|(i, tr)| (Self::probe_addr(space, *i), tr, base_hash ^ (*i as u64))),
-                    BLOCKING_RESUME,
-                    at,
-                )
-            }
-            LookupBackend::HaloNonBlocking => {
-                let engine = engine.expect("HALO backend needs an engine");
-                let nb = self.nb.expect("non-blocking backend needs an NbRegion");
-                // Issue every probed tuple at once (one per cycle);
-                // results land in distinct destination words.
-                let mut finish = at;
-                for (slot, (i, tr)) in probes.iter().enumerate() {
-                    let h = hash_key(key, SEED_PRIMARY) ^ (*i as u64);
-                    let out = engine.dispatch(
-                        sys,
-                        self.core,
-                        Self::probe_addr(space, *i),
-                        tr,
-                        h,
-                        None,
-                        Some(nb.dest(slot)),
-                        at + Cycles(slot as u64),
-                    );
-                    finish = finish.max(out.complete);
-                }
-                // One SNAPSHOT_READ per destination line written.
-                let lines = (probes.len() as u64).div_ceil(NbRegion::SLOTS_PER_LINE as u64);
-                for l in 0..lines {
-                    let (_, snap) = engine.snapshot_read(sys, self.core, nb.line(l), finish);
-                    finish = snap;
-                }
-                finish
-            }
+            return t;
         }
+        let (sys, engine) = halo_parts(sys, engine);
+        let base_hash = hash_key(key, SEED_PRIMARY);
+        if self.backend == LookupBackend::HaloBlocking {
+            return engine.dispatch_burst(
+                sys,
+                self.core,
+                probes
+                    .iter()
+                    .map(|(i, tr)| (Self::probe_addr(space, *i), tr, base_hash ^ (*i as u64))),
+                BLOCKING_RESUME,
+                at,
+            );
+        }
+        let nb = self.nb.expect("non-blocking backend needs an NbRegion");
+        // Issue every probed tuple at once (one per cycle); results land
+        // in distinct destination words.
+        let mut finish = at;
+        for (slot, (i, tr)) in probes.iter().enumerate() {
+            let out = engine.dispatch(
+                sys,
+                self.core,
+                Self::probe_addr(space, *i),
+                tr,
+                base_hash ^ (*i as u64),
+                None,
+                Some(nb.dest(slot)),
+                at + Cycles(slot as u64),
+            );
+            finish = finish.max(out.complete);
+        }
+        // One SNAPSHOT_READ per destination line written.
+        let lines = (probes.len() as u64).div_ceil(NbRegion::SLOTS_PER_LINE as u64);
+        for l in 0..lines {
+            let (_, snap) = engine.snapshot_read(sys, self.core, nb.line(l), finish);
+            finish = snap;
+        }
+        finish
     }
 
     /// The dispatchable table address of probe slot `i` of `space`.
@@ -396,6 +391,23 @@ impl LookupExecutor {
             .probe_meta_addr(i)
             .expect("HALO dispatch needs an in-memory table")
     }
+}
+
+/// The classic memory system and the engine a HALO dispatch arm needs.
+///
+/// # Panics
+///
+/// Panics inside an epoch shard (HALO dispatch mutates accelerator and
+/// lock state shared across cores mid-window) or when `engine` is
+/// `None`.
+fn halo_parts<'a, S: CoreMem>(
+    sys: &'a mut S,
+    engine: Option<&'a mut HaloEngine>,
+) -> (&'a mut MemorySystem, &'a mut HaloEngine) {
+    let sys = sys
+        .memory_system()
+        .expect("HALO dispatch needs the classic MemorySystem; epoch shards are software-only");
+    (sys, engine.expect("HALO backend needs an engine"))
 }
 
 /// What one [`DatapathCore::classify`] call did and when.
@@ -505,12 +517,23 @@ impl DatapathCore {
     /// buffer the software EMC probe reloads the key from (None when
     /// the key is in registers).
     ///
+    /// Generic over the [`CoreMem`] context: the classic sequential
+    /// [`MemorySystem`] or one epoch-window shard
+    /// ([`halo_mem::EpochCore`]). The EMC probe and promotion go
+    /// through the context's own byte store (the window's copy-on-write
+    /// delta in epoch mode, so per-core EMC updates stay private until
+    /// the barrier); the MegaFlow tables are read from
+    /// [`CoreMem::base`] — the live store on the classic system, the
+    /// frozen master snapshot in a shard, which is exact because
+    /// control-plane writes only happen between windows.
+    ///
     /// # Panics
     ///
-    /// Panics if a HALO backend is configured but `engine` is `None`.
-    pub fn classify<W: WildcardTable + ?Sized>(
+    /// Panics if a HALO backend (search or EMC) is configured but
+    /// `engine` is `None`, or runs in an epoch shard.
+    pub fn classify<S: CoreMem, W: WildcardTable + ?Sized>(
         &mut self,
-        sys: &mut MemorySystem,
+        sys: &mut S,
         mut engine: Option<&mut HaloEngine>,
         megaflow: &W,
         key: &FlowKey,
@@ -522,23 +545,22 @@ impl DatapathCore {
 
         if let Some(emc) = &self.emc {
             let trace = emc.lookup_traced(sys.data_mut(), key);
-            let done = match self.emc_backend {
-                LookupBackend::Software => self.exec.run_sw(sys, &trace, key_addr, t),
-                LookupBackend::HaloBlocking | LookupBackend::HaloNonBlocking => {
-                    let engine = engine.as_deref_mut().expect("HALO backend needs an engine");
-                    let h = hash_key(key, SEED_PRIMARY);
-                    let out = engine.dispatch(
-                        sys,
-                        self.exec.core,
-                        emc.base_addr(),
-                        &trace,
-                        h,
-                        None,
-                        None,
-                        t,
-                    );
-                    out.complete + BLOCKING_RESUME
-                }
+            let done = if self.emc_backend == LookupBackend::Software {
+                self.exec.run_sw(sys, &trace, key_addr, t)
+            } else {
+                let (sys, engine) = halo_parts(sys, engine.as_deref_mut());
+                let h = hash_key(key, SEED_PRIMARY);
+                let out = engine.dispatch(
+                    sys,
+                    self.exec.core,
+                    emc.base_addr(),
+                    &trace,
+                    h,
+                    None,
+                    None,
+                    t,
+                );
+                out.complete + BLOCKING_RESUME
             };
             emc_done = Some(done);
             t = done;
@@ -556,7 +578,7 @@ impl DatapathCore {
         }
 
         let (m, probes) = megaflow.classify_traced(
-            sys.data_mut(),
+            sys.base(),
             key,
             self.exec.backend == LookupBackend::Software,
         );
@@ -575,23 +597,8 @@ impl DatapathCore {
         }
     }
 
-    /// Classifies one packet against any [`CoreMem`] context — the
-    /// classic sequential [`MemorySystem`] or one epoch-window shard
-    /// ([`halo_mem::EpochCore`]). Software backend only: HALO engine
-    /// dispatch mutates shared accelerator state and stays on the
-    /// classic [`Self::classify`] path.
-    ///
-    /// The EMC probe and promotion go through the context's own byte
-    /// store (the window's copy-on-write delta in epoch mode, so
-    /// per-core EMC updates stay private until the barrier); the
-    /// MegaFlow tables are read from the frozen master snapshot
-    /// ([`CoreMem::base`]) — control-plane writes only happen between
-    /// windows, so the snapshot is exact.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either the search backend or the EMC backend is not
-    /// [`LookupBackend::Software`].
+    /// [`Self::classify`] without an engine, kept for callers written
+    /// against the software-only epoch entry point.
     pub fn classify_epoch<S: CoreMem, W: WildcardTable + ?Sized>(
         &mut self,
         sys: &mut S,
@@ -600,54 +607,7 @@ impl DatapathCore {
         key_addr: Option<Addr>,
         at: Cycle,
     ) -> ClassifyOutcome {
-        assert_eq!(
-            self.exec.backend,
-            LookupBackend::Software,
-            "epoch classification is software-only"
-        );
-        assert_eq!(
-            self.emc_backend,
-            LookupBackend::Software,
-            "epoch classification is software-only"
-        );
-        let mut t = at;
-        let mut emc_done = None;
-
-        if let Some(emc) = &self.emc {
-            let trace = emc.lookup_traced(sys.data_mut(), key);
-            let done = self.exec.run_sw(sys, &trace, key_addr, t);
-            emc_done = Some(done);
-            t = done;
-            if let Some(v) = trace.result {
-                sys.trace_span("datapath", "classify", at, t);
-                return ClassifyOutcome {
-                    action: Some(v),
-                    emc_hit: true,
-                    megaflow: None,
-                    emc_done,
-                    megaflow_done: None,
-                    done: t,
-                };
-            }
-        }
-
-        let (m, probes) = megaflow.classify_traced(sys.base(), key, true);
-        let mut done = t;
-        for (_, tr) in &probes {
-            done = self.exec.run_sw(sys, tr, None, done);
-        }
-        if let Some(hit) = &m {
-            self.promote(sys.data_mut(), key, hit.action);
-        }
-        sys.trace_span("datapath", "classify", at, done);
-        ClassifyOutcome {
-            action: m.as_ref().map(|h| h.action),
-            emc_hit: false,
-            megaflow: m,
-            emc_done,
-            megaflow_done: Some(done),
-            done,
-        }
+        self.classify(sys, None, megaflow, key, key_addr, at)
     }
 }
 
@@ -751,6 +711,35 @@ mod tests {
             .expect("classify spans recorded");
         assert_eq!(h.count(), 10);
         assert!(h.p99() > 0, "classify latency cannot be zero cycles");
+    }
+
+    /// An epoch shard is software-only: the unified classify reaches
+    /// the HALO arm and refuses, since engine dispatch would mutate
+    /// accelerator state shared across cores mid-window.
+    #[test]
+    #[should_panic(expected = "epoch shards are software-only")]
+    fn halo_classify_refuses_an_epoch_shard() {
+        let mut sys = MemorySystem::new(MachineConfig::small());
+        let mut engine = HaloEngine::new(&sys, halo_accel::AcceleratorConfig::default());
+        let exec = LookupExecutor::new(&mut sys, CoreId(0), LookupBackend::HaloBlocking);
+        let mut megaflow = TupleSpace::new(
+            sys.data_mut(),
+            distinct_masks(4),
+            256,
+            SearchMode::FirstMatch,
+        );
+        let key = PacketHeader::synthetic(3).miniflow();
+        megaflow.insert_rule(sys.data_mut(), 2, &key, 0, 7).unwrap();
+        let mut dp = DatapathCore::new(exec, None, LookupBackend::Software, true);
+        let mut shards = sys.epoch_split(1);
+        dp.classify(
+            &mut shards[0],
+            Some(&mut engine),
+            &megaflow,
+            &key,
+            None,
+            Cycle(0),
+        );
     }
 
     /// Expiring a flow drops its EMC entry: the next packet walks

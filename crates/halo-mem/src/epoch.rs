@@ -199,6 +199,12 @@ pub trait CoreMem {
     fn trace_enabled(&self) -> bool;
     /// Records a span on behalf of a component (no-op when disabled).
     fn trace_span(&mut self, component: &'static str, op: &'static str, start: Cycle, end: Cycle);
+    /// The classic memory system behind this context, for work that
+    /// mutates state shared across cores (HALO engine dispatch). `None`
+    /// by default: an epoch shard is software-only.
+    fn memory_system(&mut self) -> Option<&mut MemorySystem> {
+        None
+    }
 }
 
 impl CoreMem for MemorySystem {
@@ -221,6 +227,9 @@ impl CoreMem for MemorySystem {
     }
     fn trace_span(&mut self, component: &'static str, op: &'static str, start: Cycle, end: Cycle) {
         MemorySystem::trace_span(self, component, op, start, end);
+    }
+    fn memory_system(&mut self) -> Option<&mut MemorySystem> {
+        Some(self)
     }
 }
 

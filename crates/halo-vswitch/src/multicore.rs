@@ -19,7 +19,7 @@ use halo_datapath::{
     DatapathCore, LookupExecutor, NbRegion, TableBackend, TrafficEvent, WildcardBackend,
     WildcardMatcher, WildcardTable,
 };
-use halo_mem::{CoreId, EpochCore, MemorySystem, WindowOutcome, CACHE_LINE};
+use halo_mem::{CoreId, CoreMem, EpochCore, MemorySystem, WindowOutcome, CACHE_LINE};
 use halo_sim::{Cycle, SplitMix64};
 use halo_tables::{hash_key, SEED_PRIMARY};
 
@@ -79,6 +79,27 @@ struct PmdThread {
     dp: DatapathCore,
     clock: Cycle,
     packets: u64,
+}
+
+impl PmdThread {
+    /// Classifies one packet of `flow` at this PMD's clock, against the
+    /// classic system or an epoch shard. Returns whether any layer
+    /// matched.
+    fn classify<S: CoreMem>(
+        &mut self,
+        sys: &mut S,
+        engine: Option<&mut HaloEngine>,
+        megaflow: &WildcardMatcher,
+        flow: u64,
+    ) -> bool {
+        let key = PacketHeader::synthetic(flow).miniflow();
+        self.packets += 1;
+        let out = self
+            .dp
+            .classify(sys, engine, megaflow, &key, None, self.clock);
+        self.clock = out.done;
+        out.action.is_some()
+    }
 }
 
 /// A multi-core OVS-DPDK-style datapath over a shared MegaFlow layer.
@@ -193,17 +214,36 @@ fn exec_window(job: WindowJob<'_>, megaflow: &WildcardMatcher) -> (WindowOutcome
     } = job;
     let mut matched = 0u64;
     for &flow in &flows {
-        let key = PacketHeader::synthetic(flow).miniflow();
-        pmd.packets += 1;
-        let out = pmd
-            .dp
-            .classify_epoch(&mut shard, megaflow, &key, None, pmd.clock);
-        pmd.clock = out.done;
-        if out.action.is_some() {
-            matched += 1;
-        }
+        matched += u64::from(pmd.classify(&mut shard, None, megaflow, flow));
     }
     (shard.finish(), matched)
+}
+
+/// How a run executes its packets. Both executors share the driver
+/// loops, the control plane and the report; only the packet step
+/// differs.
+enum Executor<'a> {
+    /// Classify every packet the moment it arrives, on the live master
+    /// system (HALO engines and span tracing allowed).
+    Classic(Option<&'a mut HaloEngine>),
+    /// Append packets to a window and run it epoch-parallel on
+    /// `threads` OS threads when it fills or before any control-plane
+    /// work; `barrier_hook` observes the master after every merge.
+    Epoch {
+        threads: usize,
+        window: Vec<(u64, usize)>,
+        barrier_hook: &'a mut dyn FnMut(&MemorySystem),
+    },
+}
+
+impl<'a> Executor<'a> {
+    fn epoch(threads: usize, barrier_hook: &'a mut dyn FnMut(&MemorySystem)) -> Self {
+        Executor::Epoch {
+            threads,
+            window: Vec::with_capacity(WINDOW_PKTS),
+            barrier_hook,
+        }
+    }
 }
 
 impl MultiCoreDatapath {
@@ -323,23 +363,10 @@ impl MultiCoreDatapath {
         self.pmds.len()
     }
 
-    /// Classifies one packet on PMD `p` starting at its local clock.
-    /// Returns whether any layer matched.
-    fn classify_one(
-        &mut self,
-        sys: &mut MemorySystem,
-        engine: Option<&mut HaloEngine>,
-        p: usize,
-        flow: u64,
-    ) -> bool {
-        let key = PacketHeader::synthetic(flow).miniflow();
-        let pmd = &mut self.pmds[p];
-        pmd.packets += 1;
-        let out = pmd
-            .dp
-            .classify(sys, engine, &self.megaflow, &key, None, pmd.clock);
-        pmd.clock = out.done;
-        out.action.is_some()
+    /// RSS: the flow hash picks the PMD, so one flow stays on one core.
+    fn rss(&self, flow: u64) -> usize {
+        (hash_key(&PacketHeader::synthetic(flow).miniflow(), SEED_PRIMARY) % self.pmds.len() as u64)
+            as usize
     }
 
     /// Runs `packets` packets spread across the PMDs by flow hash (RSS),
@@ -348,45 +375,11 @@ impl MultiCoreDatapath {
     pub fn run(
         &mut self,
         sys: &mut MemorySystem,
-        mut engine: Option<&mut HaloEngine>,
+        engine: Option<&mut HaloEngine>,
         packets: u64,
         churn_every: u64,
     ) -> ScalingReport {
-        let dirty_before = sys.stats().counter("llc.dirty_snoop");
-        for i in 0..packets {
-            let flow = self.rng.below(self.flows);
-            // RSS: flow hash picks the PMD, so one flow stays on one core.
-            let p = (hash_key(&PacketHeader::synthetic(flow).miniflow(), SEED_PRIMARY)
-                % self.pmds.len() as u64) as usize;
-            if churn_every > 0 && i % churn_every == 0 {
-                // The revalidator (a writer on another core) updates the
-                // shared tables: timed stores to every tuple's version
-                // line invalidate the readers' copies — the core-to-core
-                // coherence cost of §3.4.
-                let wcore = CoreId(sys.config().cores - 1);
-                for ti in 0..self.megaflow.probes() {
-                    if let Some(va) = self.megaflow.probe_version_addr(ti) {
-                        let at = self.pmds[p].clock;
-                        sys.access(wcore, va, halo_mem::AccessKind::Store, at);
-                    }
-                }
-            }
-            self.classify_one(sys, engine.as_deref_mut(), p, flow);
-        }
-        let cycles = self
-            .pmds
-            .iter()
-            .map(|p| p.clock.0)
-            .max()
-            .unwrap_or(0)
-            .max(1);
-        ScalingReport {
-            cores: self.pmds.len(),
-            packets,
-            cycles,
-            throughput_per_kcy: 1000.0 * packets as f64 / cycles as f64,
-            dirty_transfers: sys.stats().counter("llc.dirty_snoop") - dirty_before,
-        }
+        self.drive_fixed(sys, Executor::Classic(engine), packets, churn_every)
     }
 
     /// Which mask a flow's rule is installed under (the same
@@ -423,65 +416,10 @@ impl MultiCoreDatapath {
     pub fn run_stream(
         &mut self,
         sys: &mut MemorySystem,
-        mut engine: Option<&mut HaloEngine>,
+        engine: Option<&mut HaloEngine>,
         events: impl IntoIterator<Item = TrafficEvent>,
     ) -> StreamReport {
-        let dirty_before = sys.stats().counter("llc.dirty_snoop");
-        let mut r = StreamReport {
-            cores: self.pmds.len(),
-            ..StreamReport::default()
-        };
-        for ev in events {
-            match ev {
-                TrafficEvent::Packet(flow) => {
-                    let p = (hash_key(&PacketHeader::synthetic(flow).miniflow(), SEED_PRIMARY)
-                        % self.pmds.len() as u64) as usize;
-                    let hit = self.classify_one(sys, engine.as_deref_mut(), p, flow);
-                    r.packets += 1;
-                    if !hit {
-                        r.misses += 1;
-                    }
-                }
-                TrafficEvent::Arrival(flow) => {
-                    let key = PacketHeader::synthetic(flow).miniflow();
-                    let ti = self.tuple_of(flow);
-                    let at = self.front(); // control plane acts "now"
-                    if self
-                        .megaflow
-                        .insert_masked(sys.data_mut(), &self.masks[ti], &key, 0, flow)
-                        .is_err()
-                    {
-                        r.rejected_installs += 1;
-                    }
-                    self.revalidate(sys, ti, at);
-                    r.arrivals += 1;
-                }
-                TrafficEvent::Expiry(flow) => {
-                    let key = PacketHeader::synthetic(flow).miniflow();
-                    let ti = self.tuple_of(flow);
-                    let at = self.front();
-                    self.megaflow
-                        .remove_masked(sys.data_mut(), &self.masks[ti], &key);
-                    // A torn-down rule's cached exact match must die with
-                    // it on every core, or stale actions keep matching.
-                    for pmd in &mut self.pmds {
-                        pmd.dp.invalidate(sys.data_mut(), &key);
-                    }
-                    self.revalidate(sys, ti, at);
-                    r.expiries += 1;
-                }
-            }
-        }
-        r.cycles = self
-            .pmds
-            .iter()
-            .map(|p| p.clock.0)
-            .max()
-            .unwrap_or(0)
-            .max(1);
-        r.throughput_per_kcy = 1000.0 * r.packets as f64 / r.cycles as f64;
-        r.dirty_transfers = sys.stats().counter("llc.dirty_snoop") - dirty_before;
-        r
+        self.drive_stream(sys, Executor::Classic(engine), events)
     }
 
     /// The most advanced PMD clock (the streaming control plane's "now").
@@ -583,9 +521,9 @@ impl MultiCoreDatapath {
     /// applied between windows against the merged master state.
     ///
     /// The result is byte-identical for every `threads` value
-    /// (`threads = 1` runs the same windows inline); it is its own
-    /// deterministic interleaving, not required to match the classic
-    /// per-packet interleaving of [`run`](Self::run).
+    /// (`threads = 1` runs the same windows inline). With one PMD it
+    /// equals [`run`](Self::run) exactly; with more it is its own
+    /// deterministic interleaving (DESIGN §13).
     ///
     /// # Panics
     ///
@@ -614,80 +552,12 @@ impl MultiCoreDatapath {
         barrier_hook: &mut dyn FnMut(&MemorySystem),
     ) -> ScalingReport {
         self.assert_epoch_capable(sys);
-        let dirty_before = sys.stats().counter("llc.dirty_snoop");
-        // The same RSS draws as `run`, precomputed so that window
-        // partitioning cannot perturb the flow sequence (and the RNG
-        // ends in the same state).
-        let schedule: Vec<(u64, usize)> = (0..packets)
-            .map(|_| {
-                let flow = self.rng.below(self.flows);
-                let p = (hash_key(&PacketHeader::synthetic(flow).miniflow(), SEED_PRIMARY)
-                    % self.pmds.len() as u64) as usize;
-                (flow, p)
-            })
-            .collect();
-        let mut i = 0usize;
-        while i < schedule.len() {
-            if churn_every > 0 && (i as u64).is_multiple_of(churn_every) {
-                // The same revalidator stores `run` issues before
-                // packet i, at the merged clock of packet i's PMD.
-                let p = schedule[i].1;
-                let wcore = CoreId(sys.config().cores - 1);
-                for ti in 0..self.megaflow.probes() {
-                    if let Some(va) = self.megaflow.probe_version_addr(ti) {
-                        let at = self.pmds[p].clock;
-                        sys.access(wcore, va, halo_mem::AccessKind::Store, at);
-                    }
-                }
-            }
-            let mut end = (i + WINDOW_PKTS).min(schedule.len());
-            if let Some(chunk) = (i as u64).checked_div(churn_every) {
-                let next_churn = (chunk + 1) * churn_every;
-                end = end.min(next_churn as usize);
-            }
-            Self::run_window(
-                &mut self.pmds,
-                &self.megaflow,
-                sys,
-                &schedule[i..end],
-                threads,
-            );
-            barrier_hook(sys);
-            i = end;
-        }
-        let cycles = self
-            .pmds
-            .iter()
-            .map(|p| p.clock.0)
-            .max()
-            .unwrap_or(0)
-            .max(1);
-        ScalingReport {
-            cores: self.pmds.len(),
+        self.drive_fixed(
+            sys,
+            Executor::epoch(threads, barrier_hook),
             packets,
-            cycles,
-            throughput_per_kcy: 1000.0 * packets as f64 / cycles as f64,
-            dirty_transfers: sys.stats().counter("llc.dirty_snoop") - dirty_before,
-        }
-    }
-
-    /// Flushes the pending packet window of a streaming parallel run.
-    fn flush_stream_window(
-        &mut self,
-        sys: &mut MemorySystem,
-        batch: &mut Vec<(u64, usize)>,
-        threads: usize,
-        r: &mut StreamReport,
-        barrier_hook: &mut dyn FnMut(&MemorySystem),
-    ) {
-        if batch.is_empty() {
-            return;
-        }
-        let matched = Self::run_window(&mut self.pmds, &self.megaflow, sys, batch, threads);
-        barrier_hook(sys);
-        r.packets += batch.len() as u64;
-        r.misses += batch.len() as u64 - matched;
-        batch.clear();
+            churn_every,
+        )
     }
 
     /// [`run_stream`](Self::run_stream)'s workload under the
@@ -720,60 +590,154 @@ impl MultiCoreDatapath {
         barrier_hook: &mut dyn FnMut(&MemorySystem),
     ) -> StreamReport {
         self.assert_epoch_capable(sys);
+        self.drive_stream(sys, Executor::epoch(threads, barrier_hook), events)
+    }
+
+    /// The fixed-schedule driver behind [`run`](Self::run) and
+    /// [`run_parallel`](Self::run_parallel): `packets` RSS draws, with
+    /// the revalidator storing to every tuple's version line before
+    /// each `churn_every`-th packet, at that packet's PMD clock — the
+    /// core-to-core coherence cost of §3.4.
+    fn drive_fixed(
+        &mut self,
+        sys: &mut MemorySystem,
+        mut exec: Executor<'_>,
+        packets: u64,
+        churn_every: u64,
+    ) -> ScalingReport {
         let dirty_before = sys.stats().counter("llc.dirty_snoop");
-        let mut r = StreamReport {
-            cores: self.pmds.len(),
-            ..StreamReport::default()
-        };
-        let mut batch: Vec<(u64, usize)> = Vec::with_capacity(WINDOW_PKTS);
+        let mut r = StreamReport::default();
+        for i in 0..packets {
+            let flow = self.rng.below(self.flows);
+            let p = self.rss(flow);
+            if churn_every > 0 && i % churn_every == 0 {
+                self.flush(sys, &mut exec, &mut r);
+                let at = self.pmds[p].clock;
+                for ti in 0..self.megaflow.probes() {
+                    self.revalidate(sys, ti, at);
+                }
+            }
+            self.packet(sys, &mut exec, flow, p, &mut r);
+        }
+        self.flush(sys, &mut exec, &mut r);
+        let r = self.finish(sys, r, dirty_before);
+        ScalingReport {
+            cores: r.cores,
+            packets: r.packets,
+            cycles: r.cycles,
+            throughput_per_kcy: r.throughput_per_kcy,
+            dirty_transfers: r.dirty_transfers,
+        }
+    }
+
+    /// The event-stream driver behind [`run_stream`](Self::run_stream)
+    /// and [`run_stream_parallel`](Self::run_stream_parallel).
+    fn drive_stream(
+        &mut self,
+        sys: &mut MemorySystem,
+        mut exec: Executor<'_>,
+        events: impl IntoIterator<Item = TrafficEvent>,
+    ) -> StreamReport {
+        let dirty_before = sys.stats().counter("llc.dirty_snoop");
+        let mut r = StreamReport::default();
         for ev in events {
-            match ev {
-                TrafficEvent::Packet(flow) => {
-                    let p = (hash_key(&PacketHeader::synthetic(flow).miniflow(), SEED_PRIMARY)
-                        % self.pmds.len() as u64) as usize;
-                    batch.push((flow, p));
-                    if batch.len() >= WINDOW_PKTS {
-                        self.flush_stream_window(sys, &mut batch, threads, &mut r, barrier_hook);
-                    }
-                }
-                TrafficEvent::Arrival(flow) => {
-                    self.flush_stream_window(sys, &mut batch, threads, &mut r, barrier_hook);
-                    let key = PacketHeader::synthetic(flow).miniflow();
-                    let ti = self.tuple_of(flow);
-                    let at = self.front();
-                    if self
-                        .megaflow
-                        .insert_masked(sys.data_mut(), &self.masks[ti], &key, 0, flow)
-                        .is_err()
-                    {
-                        r.rejected_installs += 1;
-                    }
-                    self.revalidate(sys, ti, at);
-                    r.arrivals += 1;
-                }
-                TrafficEvent::Expiry(flow) => {
-                    self.flush_stream_window(sys, &mut batch, threads, &mut r, barrier_hook);
-                    let key = PacketHeader::synthetic(flow).miniflow();
-                    let ti = self.tuple_of(flow);
-                    let at = self.front();
-                    self.megaflow
-                        .remove_masked(sys.data_mut(), &self.masks[ti], &key);
-                    for pmd in &mut self.pmds {
-                        pmd.dp.invalidate(sys.data_mut(), &key);
-                    }
-                    self.revalidate(sys, ti, at);
-                    r.expiries += 1;
+            if let TrafficEvent::Packet(flow) = ev {
+                let p = self.rss(flow);
+                self.packet(sys, &mut exec, flow, p, &mut r);
+            } else {
+                self.flush(sys, &mut exec, &mut r);
+                self.control(sys, ev, &mut r);
+            }
+        }
+        self.flush(sys, &mut exec, &mut r);
+        self.finish(sys, r, dirty_before)
+    }
+
+    /// The packet step: the classic executor classifies `flow` on PMD
+    /// `p` now; the epoch executor appends it to the window, running
+    /// the window once it is full.
+    fn packet(
+        &mut self,
+        sys: &mut MemorySystem,
+        exec: &mut Executor<'_>,
+        flow: u64,
+        p: usize,
+        r: &mut StreamReport,
+    ) {
+        match exec {
+            Executor::Classic(engine) => {
+                let hit = self.pmds[p].classify(sys, engine.as_deref_mut(), &self.megaflow, flow);
+                r.packets += 1;
+                r.misses += u64::from(!hit);
+            }
+            Executor::Epoch { window, .. } => {
+                window.push((flow, p));
+                if window.len() >= WINDOW_PKTS {
+                    self.flush(sys, exec, r);
                 }
             }
         }
-        self.flush_stream_window(sys, &mut batch, threads, &mut r, barrier_hook);
-        r.cycles = self
-            .pmds
-            .iter()
-            .map(|p| p.clock.0)
-            .max()
-            .unwrap_or(0)
-            .max(1);
+    }
+
+    /// Runs the epoch executor's pending window, if any, and calls the
+    /// barrier hook on the merged master. A no-op for the classic
+    /// executor, which has nothing pending.
+    fn flush(&mut self, sys: &mut MemorySystem, exec: &mut Executor<'_>, r: &mut StreamReport) {
+        let Executor::Epoch {
+            threads,
+            window,
+            barrier_hook,
+        } = exec
+        else {
+            return;
+        };
+        if window.is_empty() {
+            return;
+        }
+        let matched = Self::run_window(&mut self.pmds, &self.megaflow, sys, window, *threads);
+        barrier_hook(sys);
+        r.packets += window.len() as u64;
+        r.misses += window.len() as u64 - matched;
+        window.clear();
+    }
+
+    /// The control plane, acting at the most advanced PMD clock: an
+    /// [`Arrival`](TrafficEvent::Arrival) installs the flow's rule, an
+    /// [`Expiry`](TrafficEvent::Expiry) removes it and invalidates it
+    /// in every PMD's EMC; both end with a revalidator store.
+    fn control(&mut self, sys: &mut MemorySystem, ev: TrafficEvent, r: &mut StreamReport) {
+        let flow = ev.flow();
+        let key = PacketHeader::synthetic(flow).miniflow();
+        let ti = self.tuple_of(flow);
+        let at = self.front();
+        if let TrafficEvent::Arrival(_) = ev {
+            if self
+                .megaflow
+                .insert_masked(sys.data_mut(), &self.masks[ti], &key, 0, flow)
+                .is_err()
+            {
+                r.rejected_installs += 1;
+            }
+            r.arrivals += 1;
+        } else {
+            self.megaflow
+                .remove_masked(sys.data_mut(), &self.masks[ti], &key);
+            // A torn-down rule's cached exact match must die with it on
+            // every core, or stale actions keep matching.
+            for pmd in &mut self.pmds {
+                pmd.dp.invalidate(sys.data_mut(), &key);
+            }
+            r.expiries += 1;
+        }
+        self.revalidate(sys, ti, at);
+    }
+
+    /// Completes a run's report: core count, wall-clock cycles (the
+    /// most advanced PMD clock), throughput, and the coherence traffic
+    /// since `dirty_before`.
+    fn finish(&self, sys: &MemorySystem, mut r: StreamReport, dirty_before: u64) -> StreamReport {
+        r.cores = self.pmds.len();
+        r.cycles = self.front().0.max(1);
         r.throughput_per_kcy = 1000.0 * r.packets as f64 / r.cycles as f64;
         r.dirty_transfers = sys.stats().counter("llc.dirty_snoop") - dirty_before;
         r
@@ -968,6 +932,17 @@ mod tests {
             assert_eq!(r.rejected_installs, 0, "{}", table_backend.name());
             assert!(r.throughput_per_kcy > 0.0, "{}", table_backend.name());
         }
+    }
+
+    /// The epoch-parallel runners are software-only: a HALO datapath
+    /// is refused up front rather than mid-window.
+    #[test]
+    #[should_panic(expected = "epoch-parallel execution is software-only")]
+    fn stream_parallel_refuses_halo_backends() {
+        let mut sys = MemorySystem::new(MachineConfig::default());
+        let mut dp =
+            MultiCoreDatapath::new(&mut sys, 2, 5, 1_000, LookupBackend::HaloNonBlocking, 7);
+        dp.run_stream_parallel(&mut sys, [TrafficEvent::Packet(3)], 1);
     }
 
     /// Non-blocking destination slots must not alias when a search can

@@ -1,9 +1,11 @@
 //! Threads-invariance of the epoch-parallel runners: `threads = 1` and
 //! `threads = N` must produce byte-identical reports, per-core packet
 //! counts, and master stats — the whole point of the deterministic
-//! epoch/barrier scheme. The quick checks here always run; the full
-//! backend × stream matrix runs under the `slow-tests` feature (the
-//! deep CI job).
+//! epoch/barrier scheme. At one simulated core the epoch executor must
+//! also reproduce the classic one exactly, which guards the driver
+//! loops both executors share. The quick checks here always run; the
+//! full backend × stream matrix runs under the `slow-tests` feature
+//! (the deep CI job).
 
 use halo_datapath::{TableBackend, TrafficEvent};
 use halo_mem::{MachineConfig, MemorySystem};
@@ -30,39 +32,54 @@ fn datapath(table_backend: TableBackend, cores: usize) -> (MemorySystem, MultiCo
     (sys, dp)
 }
 
-/// Runs the RSS/churn workload and returns every observable output as
-/// one comparable string.
-fn scaling_outcome(table_backend: TableBackend, threads: usize, churn: u64) -> String {
-    let (mut sys, mut dp) = datapath(table_backend, 4);
-    let r = dp.run_parallel(&mut sys, 600, churn, threads);
+/// Every observable output of a finished run as one comparable string.
+fn outcome(report: &impl std::fmt::Debug, sys: &MemorySystem, dp: &MultiCoreDatapath) -> String {
     format!(
-        "{r:?} | {:?} | {}",
+        "{report:?} | {:?} | {}",
         dp.per_core_packets(),
-        stats_fingerprint(&sys)
+        stats_fingerprint(sys)
     )
 }
 
-/// Runs a streaming workload and returns every observable output as
-/// one comparable string.
-fn stream_outcome(table_backend: TableBackend, threads: usize, cfg: StreamConfig) -> String {
-    let (mut sys, mut dp) = datapath(table_backend, 4);
+/// Runs the RSS/churn workload on `cores` PMDs; `threads = 0` selects
+/// the classic executor, anything else the epoch one.
+fn scaling_on(table_backend: TableBackend, cores: usize, threads: usize, churn: u64) -> String {
+    let (mut sys, mut dp) = datapath(table_backend, cores);
+    let r = if threads == 0 {
+        dp.run(&mut sys, None, 600, churn)
+    } else {
+        dp.run_parallel(&mut sys, 600, churn, threads)
+    };
+    outcome(&r, &sys, &dp)
+}
+
+/// Runs `events` steps of a streaming workload on `cores` PMDs;
+/// `threads = 0` selects the classic executor.
+fn stream_on(
+    table_backend: TableBackend,
+    cores: usize,
+    threads: usize,
+    cfg: StreamConfig,
+    events: usize,
+) -> String {
+    let (mut sys, mut dp) = datapath(table_backend, cores);
     let mut traffic = StreamingTrafficGen::new(cfg, 7);
-    let events: Vec<TrafficEvent> = (0..800).map(|_| traffic.next_event()).collect();
-    let r = dp.run_stream_parallel(&mut sys, events, threads);
-    format!(
-        "{r:?} | {:?} | {}",
-        dp.per_core_packets(),
-        stats_fingerprint(&sys)
-    )
+    let events: Vec<TrafficEvent> = (0..events).map(|_| traffic.next_event()).collect();
+    let r = if threads == 0 {
+        dp.run_stream(&mut sys, None, events)
+    } else {
+        dp.run_stream_parallel(&mut sys, events, threads)
+    };
+    outcome(&r, &sys, &dp)
 }
 
 #[test]
 fn scaling_run_is_threads_invariant() {
-    let one = scaling_outcome(TableBackend::Cuckoo, 1, 50);
+    let one = scaling_on(TableBackend::Cuckoo, 4, 1, 50);
     for threads in [2, 4] {
         assert_eq!(
             one,
-            scaling_outcome(TableBackend::Cuckoo, threads, 50),
+            scaling_on(TableBackend::Cuckoo, 4, threads, 50),
             "threads=1 vs threads={threads} diverged"
         );
     }
@@ -70,16 +87,39 @@ fn scaling_run_is_threads_invariant() {
 
 #[test]
 fn churn_stream_is_threads_invariant() {
-    let one = stream_outcome(TableBackend::Cuckoo, 1, StreamConfig::churn(2_000));
-    let four = stream_outcome(TableBackend::Cuckoo, 4, StreamConfig::churn(2_000));
+    let one = stream_on(TableBackend::Cuckoo, 4, 1, StreamConfig::churn(2_000), 800);
+    let four = stream_on(TableBackend::Cuckoo, 4, 4, StreamConfig::churn(2_000), 800);
     assert_eq!(one, four);
 }
 
 #[test]
 fn flood_stream_is_threads_invariant() {
-    let one = stream_outcome(TableBackend::Cuckoo, 1, StreamConfig::ddos_flood(2_000));
-    let four = stream_outcome(TableBackend::Cuckoo, 4, StreamConfig::ddos_flood(2_000));
+    let flood = StreamConfig::ddos_flood(2_000);
+    let one = stream_on(TableBackend::Cuckoo, 4, 1, flood, 800);
+    let four = stream_on(TableBackend::Cuckoo, 4, 4, flood, 800);
     assert_eq!(one, four);
+}
+
+/// With one PMD there is only one interleaving, so the epoch executor
+/// (windows, shards, merges) must reproduce the classic executor's
+/// report, per-core counts and stats exactly, on every backend.
+#[test]
+fn one_core_epoch_matches_classic() {
+    for backend in TableBackend::all() {
+        assert_eq!(
+            scaling_on(backend, 1, 0, 50),
+            scaling_on(backend, 1, 1, 50),
+            "{} run vs run_parallel",
+            backend.name()
+        );
+        let churn = StreamConfig::churn(2_000);
+        assert_eq!(
+            stream_on(backend, 1, 0, churn, 2_000),
+            stream_on(backend, 1, 1, churn, 2_000),
+            "{} run_stream vs run_stream_parallel",
+            backend.name()
+        );
+    }
 }
 
 /// At every window barrier the master system must satisfy all of
@@ -109,11 +149,11 @@ fn barriers_leave_master_state_audit_clean() {
 #[test]
 fn all_backends_and_streams_are_threads_invariant() {
     for backend in TableBackend::all() {
-        let base = scaling_outcome(backend, 1, 25);
+        let base = scaling_on(backend, 4, 1, 25);
         for threads in [2, 4] {
             assert_eq!(
                 base,
-                scaling_outcome(backend, threads, 25),
+                scaling_on(backend, 4, threads, 25),
                 "{} scaling run diverged at threads={threads}",
                 backend.name()
             );
@@ -122,11 +162,11 @@ fn all_backends_and_streams_are_threads_invariant() {
             ("churn", StreamConfig::churn(2_000)),
             ("flood", StreamConfig::ddos_flood(2_000)),
         ] {
-            let one = stream_outcome(backend, 1, cfg);
+            let one = stream_on(backend, 4, 1, cfg, 800);
             for threads in [2, 4] {
                 assert_eq!(
                     one,
-                    stream_outcome(backend, threads, cfg),
+                    stream_on(backend, 4, threads, cfg, 800),
                     "{} {label} stream diverged at threads={threads}",
                     backend.name()
                 );

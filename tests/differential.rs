@@ -7,11 +7,14 @@
 //! the invariant auditor after every op.
 
 use halo_nfv::check::{
-    buggy_cuckoo_driver, cuckoo_driver, cuckoo_pp_driver, emoma_driver, engine_driver,
-    kvstore_driver, run_differential, run_fault_injection, sfh_driver, tcam_driver, FaultBackend,
-    FaultConfig,
+    buggy_cuckoo_driver, engine_driver, exact_driver, kvstore_driver, run_differential,
+    run_fault_injection, FaultConfig, Op, KEY_LEN,
 };
+use halo_nfv::datapath::TableBackend;
+use halo_nfv::mem::SimMemory;
 use halo_nfv::sim::point_seed;
+use halo_nfv::tables::{CuckooPlusPlusTable, CuckooTable, EmomaTable, SfhTable};
+use halo_nfv::tcam::TcamTable;
 
 const CASES: u64 = if cfg!(feature = "slow-tests") { 48 } else { 8 };
 const OPS: usize = if cfg!(feature = "slow-tests") {
@@ -20,10 +23,19 @@ const OPS: usize = if cfg!(feature = "slow-tests") {
     150
 };
 
+/// The baseline table every cuckoo-family suite sizes alike: 1024
+/// buckets, 8192 slots.
+fn cuckoo_exact(ops: &[Op]) -> Option<String> {
+    exact_driver(
+        |m: &mut SimMemory| CuckooTable::create(m, 1 << 10, KEY_LEN),
+        ops,
+    )
+}
+
 #[test]
 fn cuckoo_agrees_with_oracle() {
     run_differential("differential.cuckoo", CASES, OPS, 2048, |ops| {
-        cuckoo_driver(ops)
+        cuckoo_exact(ops)
     })
     .unwrap_or_else(|t| panic!("{t}"));
 }
@@ -35,7 +47,7 @@ fn cuckoo_agrees_with_oracle() {
 #[test]
 fn cuckoo_pp_agrees_with_oracle() {
     run_differential("differential.cuckoo_pp", CASES, OPS, 2048, |ops| {
-        cuckoo_pp_driver(ops)
+        exact_driver(|m| CuckooPlusPlusTable::create(m, 1 << 10, KEY_LEN), ops)
     })
     .unwrap_or_else(|t| panic!("{t}"));
 }
@@ -46,15 +58,17 @@ fn cuckoo_pp_agrees_with_oracle() {
 #[test]
 fn emoma_agrees_with_oracle() {
     run_differential("differential.emoma", CASES, OPS, 2048, |ops| {
-        emoma_driver(ops)
+        exact_driver(|m| EmomaTable::create(m, 1 << 10, KEY_LEN), ops)
     })
     .unwrap_or_else(|t| panic!("{t}"));
 }
 
 #[test]
 fn sfh_agrees_with_oracle() {
-    run_differential("differential.sfh", CASES, OPS, 2048, sfh_driver)
-        .unwrap_or_else(|t| panic!("{t}"));
+    run_differential("differential.sfh", CASES, OPS, 2048, |ops| {
+        exact_driver(|m| SfhTable::create(m, 1 << 12, KEY_LEN), ops)
+    })
+    .unwrap_or_else(|t| panic!("{t}"));
 }
 
 #[test]
@@ -68,7 +82,7 @@ fn kvstore_agrees_with_oracle() {
 #[test]
 fn tcam_agrees_with_oracle() {
     run_differential("differential.tcam", CASES, OPS, 1024, |ops| {
-        tcam_driver(ops)
+        exact_driver(|_| TcamTable::new(1 << 16, 4), ops)
     })
     .unwrap_or_else(|t| panic!("{t}"));
 }
@@ -130,7 +144,7 @@ fn fault_injection_passes_auditor() {
 #[test]
 fn fault_injection_passes_auditor_for_every_backend() {
     let seeds = if cfg!(feature = "slow-tests") { 3 } else { 1 };
-    for (i, backend) in FaultBackend::all().into_iter().enumerate() {
+    for (i, backend) in TableBackend::all().into_iter().enumerate() {
         for s in 0..seeds {
             let cfg = FaultConfig {
                 seed: point_seed("differential.fault.backends", i as u64 * 16 + s),
@@ -240,7 +254,7 @@ fn mutation_is_caught_and_shrunk() {
         "minimal trace must replay the failure"
     );
     assert_eq!(
-        cuckoo_driver(&trace.ops),
+        cuckoo_exact(&trace.ops),
         None,
         "the real table must pass the minimal trace"
     );
@@ -259,7 +273,6 @@ fn mutation_is_caught_and_shrunk() {
 #[test]
 fn churn_stream_agrees_with_oracle_on_every_backend() {
     use halo_nfv::check::run_churn_differential;
-    use halo_nfv::datapath::TableBackend;
     let cases = if cfg!(feature = "slow-tests") { 12 } else { 3 };
     for backend in TableBackend::all() {
         run_churn_differential(
