@@ -11,12 +11,14 @@
 //!   frozen shared snapshot of the LLC directory ([`LlcView`]) and data
 //!   store, and a line-granular copy-on-write overlay ([`CowMem`]) for
 //!   its writes.
-//! * Inside the window each core runs freely; every observable effect on
-//!   shared state (LLC/directory transitions, dirty writebacks) is
-//!   recorded as an [`LlcEvent`] instead of applied.
-//! * At the barrier, [`MemorySystem::epoch_merge`] replays each core's
-//!   event log and flushes each core's memory delta against the master
-//!   state **in fixed core order**, single-threaded.
+//! * Inside the window each core runs the same access body as the
+//!   classic path; every effect on shared state (LLC/directory
+//!   transitions, dirty writebacks) updates the window's view and is
+//!   queued as an [`LlcEvent`] instead of applied to the master.
+//! * At the barrier, [`MemorySystem::epoch_merge`] applies each core's
+//!   queued events through the classic path's own `apply` and flushes
+//!   each core's memory delta against the master state **in fixed core
+//!   order**, single-threaded.
 //!
 //! A core's window is therefore a pure function of (frozen snapshot,
 //! its own private state, its inputs); the thread pool only chooses
@@ -30,13 +32,15 @@
 //! either the classic system or an epoch shard.
 
 use crate::addr::{Addr, CoreId, LineAddr, SliceId, CACHE_LINE};
-use crate::cache::{CacheArray, Eviction, LineMeta, LineState};
+use crate::cache::{CacheArray, LineMeta, LineState};
 use crate::config::MachineConfig;
 use crate::memory::SimMemory;
 use crate::system::{
-    l1_bank, slice_hash, AccessKind, AccessOutcome, HitLevel, MemStatIds, MemorySystem,
+    core_access, slice_hash, AccessCtx, AccessKind, AccessOutcome, LlcEvent, MemStatIds,
+    MemorySystem,
 };
-use halo_sim::{BankedResource, Cycle, Cycles, Resource, Stats};
+use halo_sim::{BankedResource, Cycle, Resource, StatId, Stats};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
 /// A byte-addressed backing store: the seam between table/EMC code and
@@ -233,34 +237,12 @@ impl CoreMem for MemorySystem {
     }
 }
 
-/// One deferred effect on shared LLC/directory state, recorded inside a
-/// window and replayed against the master at the barrier.
-#[derive(Debug, Clone, Copy)]
-enum LlcEvent {
-    /// Private store hit on an already-Modified line: home meta becomes
-    /// Modified with this core added to the sharer set.
-    Touch(LineAddr),
-    /// Store upgrade from a non-exclusive private copy: other sharers'
-    /// private copies are invalidated; home meta becomes exclusively
-    /// this core's, Modified.
-    Upgrade(LineAddr),
-    /// Private refill from an L2 hit: this core joins the sharer set.
-    FillSharer(LineAddr),
-    /// A full LLC walk (L2 miss): replayed as a master lookup with the
-    /// classic hit/miss transitions (install + eviction on miss,
-    /// dirty-owner downgrade + sharer updates on hit).
-    Access(LineAddr, AccessKind),
-    /// A dirty private-cache eviction wrote the line back: home meta
-    /// becomes Modified.
-    DirtyWb(LineAddr),
-}
-
 /// A frozen snapshot of the LLC directory plus a window-local overlay.
 ///
 /// Probes consult the overlay first, then `peek` the frozen base arrays
 /// (no LRU perturbation). The overlay models no capacity or eviction —
 /// within one window the LLC is treated as unbounded; real install and
-/// eviction happen at replay (a documented, deterministic deviation).
+/// eviction happen at the merge (a documented, deterministic deviation).
 #[derive(Debug)]
 struct LlcView<'a> {
     base: &'a [CacheArray],
@@ -282,42 +264,22 @@ impl<'a> LlcView<'a> {
     }
 
     /// Current metadata of `line` as this window sees it.
-    fn probe(&self, line: LineAddr) -> Option<LineMeta> {
-        if let Some(m) = self.overlay.get(&line.0) {
-            return Some(m.clone());
-        }
-        let slice = slice_hash(line, self.slices);
-        self.base[slice.0].peek(line).cloned()
+    fn probe(&self, line: LineAddr) -> Option<&LineMeta> {
+        self.overlay
+            .get(&line.0)
+            .or_else(|| self.base[slice_hash(line, self.slices).0].peek(line))
     }
 
     /// Mutable overlay entry for `line`, copied from the frozen base on
     /// first touch; `None` if the line is resident nowhere.
     fn entry(&mut self, line: LineAddr) -> Option<&mut LineMeta> {
-        if !self.overlay.contains_key(&line.0) {
-            let slice = slice_hash(line, self.slices);
-            let m = self.base[slice.0].peek(line)?.clone();
-            self.overlay.insert(line.0, m);
+        match self.overlay.entry(line.0) {
+            Entry::Occupied(e) => Some(e.into_mut()),
+            Entry::Vacant(v) => {
+                let m = self.base[slice_hash(line, self.slices).0].peek(line)?;
+                Some(v.insert(m.clone()))
+            }
         }
-        self.overlay.get_mut(&line.0)
-    }
-
-    /// Installs `line` into the overlay (window-local LLC fill).
-    fn install(&mut self, line: LineAddr, core: CoreId, kind: AccessKind) {
-        let state = match kind {
-            AccessKind::Load => LineState::Shared,
-            AccessKind::Store => LineState::Modified,
-        };
-        self.overlay.insert(
-            line.0,
-            LineMeta {
-                line,
-                state,
-                lru: 0,
-                sharers: 1 << core.0,
-                locked: false,
-                accel_cv: false,
-            },
-        );
     }
 }
 
@@ -385,251 +347,78 @@ impl EpochCore<'_> {
             stats: self.stats,
         }
     }
+}
 
-    fn hops(&self, core: CoreId, slice: SliceId) -> u64 {
-        let n = self.cfg.slices;
-        let a = core.0 % n;
-        let b = slice.0;
-        let d = a.abs_diff(b);
-        d.min(n - d) as u64
+/// The shard side of the access body: this core's own private arrays
+/// and ports, the frozen LLC view, and transitions applied to the view
+/// and queued for [`MemorySystem::epoch_merge`].
+impl AccessCtx for EpochCore<'_> {
+    fn cfg(&self) -> &MachineConfig {
+        self.cfg
     }
-
-    /// Timed access inside the window. Mirrors the classic
-    /// `MemorySystem::access` timing formulas exactly, but consults the
-    /// frozen LLC view for shared state and defers every shared-state
-    /// transition to the event log.
-    fn window_access(
+    fn ids(&self) -> &MemStatIds {
+        &self.ids
+    }
+    fn inc(&mut self, id: StatId) {
+        self.stats.inc(id);
+    }
+    fn l1(&mut self, _: CoreId) -> &mut CacheArray {
+        self.l1d
+    }
+    fn l2(&mut self, _: CoreId) -> &mut CacheArray {
+        self.l2
+    }
+    fn l1_port(&mut self, _: CoreId) -> &mut BankedResource {
+        self.l1_port
+    }
+    fn l2_port(&mut self, _: CoreId) -> &mut Resource {
+        self.l2_port
+    }
+    fn slice_port(&mut self, slice: SliceId) -> &mut Resource {
+        &mut self.slice_port[slice.0]
+    }
+    fn dram(&mut self) -> &mut BankedResource {
+        &mut self.dram
+    }
+    fn home(&self, line: LineAddr) -> Option<(LineState, u64)> {
+        self.llc.probe(line).map(|m| (m.state, m.sharers))
+    }
+    /// The other cores' private tags are out of this shard's reach, so
+    /// the directory stands in: home Modified with another sharer,
+    /// charged once per line per window (documented deviation — the
+    /// merge downgrades the owner found in the real tags).
+    fn remote_dirty(
         &mut self,
         core: CoreId,
-        addr: Addr,
-        kind: AccessKind,
-        at: Cycle,
-    ) -> AccessOutcome {
-        debug_assert_eq!(core, self.core, "epoch shard driven by a foreign core");
-        let line = addr.line();
-        match kind {
-            AccessKind::Load => self.stats.inc(self.ids.mem_load),
-            AccessKind::Store => self.stats.inc(self.ids.mem_store),
-        }
-
-        // L1 lookup (real, exclusive array).
-        let t_l1 = self.l1_port.serve_on(l1_bank(line), at);
-        if let Some(meta) = self.l1d.lookup(line) {
-            let state = meta.state;
-            self.stats.inc(self.ids.l1d_hit);
-            if kind == AccessKind::Store && state != LineState::Modified {
-                let t = self.upgrade_for_store(line, t_l1);
-                self.touch_private_store(line);
-                self.events.push(LlcEvent::Upgrade(line));
-                self.events.push(LlcEvent::Touch(line));
-                return AccessOutcome {
-                    complete: t,
-                    level: HitLevel::L1,
-                };
-            }
-            if kind == AccessKind::Store {
-                self.touch_private_store(line);
-                self.events.push(LlcEvent::Touch(line));
-            }
-            return AccessOutcome {
-                complete: t_l1,
-                level: HitLevel::L1,
-            };
-        }
-        self.stats.inc(self.ids.l1d_miss);
-
-        // L2 lookup (real, exclusive array).
-        let t_l2 = self.l2_port.serve(at).max(t_l1);
-        if let Some(meta) = self.l2.lookup(line) {
-            let state = meta.state;
-            self.stats.inc(self.ids.l2_hit);
-            let mut t = t_l2;
-            if kind == AccessKind::Store && state != LineState::Modified {
-                t = self.upgrade_for_store(line, t);
-                self.events.push(LlcEvent::Upgrade(line));
-            } else {
-                self.events.push(match kind {
-                    AccessKind::Load => LlcEvent::FillSharer(line),
-                    AccessKind::Store => LlcEvent::Touch(line),
-                });
-                if kind == AccessKind::Store {
-                    self.view_touch_store(line);
-                } else {
-                    self.view_fill_sharer(line);
-                }
-            }
-            self.fill_private(line, kind);
-            return AccessOutcome {
-                complete: t,
-                level: HitLevel::L2,
-            };
-        }
-        self.stats.inc(self.ids.l2_miss);
-
-        // LLC walk against the frozen view.
-        let slice = slice_hash(line, self.cfg.slices);
-        let wire = Cycles(2 * self.hops(core, slice) * self.cfg.hop_latency.0);
-        let t_llc = self.slice_port[slice.0].serve(t_l2 + wire);
-
-        if let Some(m) = self.llc.probe(line) {
-            self.stats.inc(self.ids.llc_hit);
-            let mut t = t_llc;
-            let mut level = HitLevel::Llc;
-
-            // Remote dirty owner, as the frozen view sees it: the home
-            // meta is Modified and some other core shares the line. The
-            // classic path probes the other cores' live private tags;
-            // those are unreachable from this shard, so the directory
-            // itself stands in (documented deviation — the replay uses
-            // the real tags for the master transition).
-            let others = m.sharers & !(1 << core.0);
-            if m.state == LineState::Modified && others != 0 && !self.llc.snooped.contains(&line.0)
-            {
-                self.stats.inc(self.ids.llc_dirty_snoop);
-                t += self.cfg.dirty_snoop_latency;
-                level = HitLevel::LlcRemoteDirty;
-                self.llc.snooped.insert(line.0);
-            }
-
-            if kind == AccessKind::Store && m.sharers != 0 {
-                t = self.invalidate_other_sharers_timing(line, slice, t, m.sharers);
-            }
-            // Window-local directory transition mirroring llc_note_access.
-            if let Some(meta) = self.llc.entry(line) {
-                match kind {
-                    AccessKind::Load => meta.sharers |= 1 << core.0,
-                    AccessKind::Store => {
-                        meta.sharers = 1 << core.0;
-                        meta.state = LineState::Modified;
-                    }
-                }
-            }
-            self.fill_private(line, kind);
-            self.events.push(LlcEvent::Access(line, kind));
-            return AccessOutcome { complete: t, level };
-        }
-        self.stats.inc(self.ids.llc_miss);
-
-        // DRAM (window-local channel clone).
-        let chan = (line.0 ^ (line.0 >> 9)) as usize;
-        let t_dram = self.dram.serve(chan, t_llc);
-        self.stats.inc(self.ids.dram_access);
-        self.llc.install(line, core, kind);
-        self.fill_private(line, kind);
-        self.events.push(LlcEvent::Access(line, kind));
-        AccessOutcome {
-            complete: t_dram,
-            level: HitLevel::Dram,
-        }
-    }
-
-    /// Store-upgrade timing against the frozen sharer mask (the lock
-    /// table is asserted empty before a split, so the classic lock check
-    /// is vacuous here).
-    fn upgrade_for_store(&mut self, line: LineAddr, at: Cycle) -> Cycle {
-        let slice = slice_hash(line, self.cfg.slices);
-        let wire = Cycles(2 * self.hops(self.core, slice) * self.cfg.hop_latency.0);
-        let t = at + wire + Cycles(self.cfg.llc_latency.0 / 2);
-        let sharers = self.llc.probe(line).map_or(0, |m| m.sharers);
-        let t = if sharers != 0 {
-            self.invalidate_other_sharers_timing(line, slice, t, sharers)
-        } else {
-            t
-        };
-        if let Some(meta) = self.llc.entry(line) {
-            meta.sharers = 1 << self.core.0;
-            meta.state = LineState::Modified;
-        }
-        t
-    }
-
-    /// Timing (and stat) mirror of `invalidate_other_sharers`, computed
-    /// from the view's sharer mask; the actual invalidations replay at
-    /// the barrier.
-    fn invalidate_other_sharers_timing(
-        &mut self,
         line: LineAddr,
-        slice: SliceId,
-        at: Cycle,
+        state: LineState,
         sharers: u64,
-    ) -> Cycle {
-        let others = sharers & !(1 << self.core.0);
-        if let Some(meta) = self.llc.entry(line) {
-            meta.sharers = 1 << self.core.0;
-            meta.state = LineState::Modified;
-        }
-        if others == 0 {
-            return at;
-        }
-        self.stats.inc(self.ids.coherence_invalidation);
-        let mut t = at;
-        for c in 0..self.cfg.cores {
-            if others & (1 << c) != 0 {
-                let d = Cycles(self.hops(CoreId(c), slice) * self.cfg.hop_latency.0 * 2);
-                t = t.max(at + d);
-            }
-        }
-        t
+    ) -> bool {
+        state == LineState::Modified
+            && sharers & !(1 << core.0) != 0
+            && self.llc.snooped.insert(line.0)
     }
-
-    fn view_touch_store(&mut self, line: LineAddr) {
-        if let Some(meta) = self.llc.entry(line) {
-            meta.state = LineState::Modified;
-            meta.sharers |= 1 << self.core.0;
-        }
+    /// `epoch_split` asserts the lock table is empty, so no store waits.
+    fn store_lock(&mut self, _: LineAddr, _: Cycle) -> Option<Cycle> {
+        None
     }
-
-    fn view_fill_sharer(&mut self, line: LineAddr) {
-        if let Some(meta) = self.llc.entry(line) {
-            meta.sharers |= 1 << self.core.0;
-        }
-    }
-
-    fn touch_private_store(&mut self, line: LineAddr) {
-        if let Some(m) = self.l1d.peek_mut(line) {
-            m.state = LineState::Modified;
-        }
-        if let Some(m) = self.l2.peek_mut(line) {
-            m.state = LineState::Modified;
-        }
-        self.view_touch_store(line);
-    }
-
-    fn fill_private(&mut self, line: LineAddr, kind: AccessKind) {
-        let state = match kind {
-            AccessKind::Load => LineState::Shared,
-            AccessKind::Store => LineState::Modified,
-        };
-        if self.l2.peek(line).is_none() {
-            let ev = self.l2.insert(line, state);
-            self.handle_private_eviction(ev);
-        } else if kind == AccessKind::Store {
-            if let Some(m) = self.l2.peek_mut(line) {
-                m.state = LineState::Modified;
-            }
-        }
-        if self.l1d.peek(line).is_none() {
-            let ev = self.l1d.insert(line, state);
-            self.handle_private_eviction(ev);
-        } else if kind == AccessKind::Store {
-            if let Some(m) = self.l1d.peek_mut(line) {
-                m.state = LineState::Modified;
-            }
-        }
-        self.view_fill_sharer(line);
-    }
-
-    fn handle_private_eviction(&mut self, ev: Eviction) {
-        match ev {
-            Eviction::None | Eviction::Clean(_) => {}
-            Eviction::Dirty(l) => {
-                self.stats.inc(self.ids.private_writeback);
-                if let Some(meta) = self.llc.entry(l) {
-                    meta.state = LineState::Modified;
+    fn transition(&mut self, core: CoreId, ev: LlcEvent) {
+        match self.llc.entry(ev.line()) {
+            Some(meta) => ev.update(meta, core),
+            None => {
+                if let LlcEvent::Access(line, kind) = ev {
+                    let meta = LineMeta {
+                        line,
+                        state: kind.fill_state(),
+                        lru: 0,
+                        sharers: 1 << core.0,
+                        locked: false,
+                    };
+                    self.llc.overlay.insert(line.0, meta);
                 }
-                self.events.push(LlcEvent::DirtyWb(l));
             }
         }
+        self.events.push(ev);
     }
 }
 
@@ -646,7 +435,8 @@ impl<'a> CoreMem for EpochCore<'a> {
         self.cfg
     }
     fn access(&mut self, core: CoreId, addr: Addr, kind: AccessKind, at: Cycle) -> AccessOutcome {
-        self.window_access(core, addr, kind, at)
+        debug_assert_eq!(core, self.core, "epoch shard driven by a foreign core");
+        core_access(self, core, addr, kind, at)
     }
     fn trace_enabled(&self) -> bool {
         false
@@ -717,15 +507,18 @@ impl MemorySystem {
     }
 
     /// Merges the outcomes of one epoch window back into the master
-    /// state, replaying each core's event log and flushing its memory
-    /// delta **in ascending core order**, single-threaded. Outcomes may
-    /// arrive in any order; they are sorted here, so the merge result is
-    /// independent of thread scheduling.
+    /// state, applying each core's queued transitions (through the same
+    /// `apply` the classic path uses) and flushing its
+    /// memory delta **in ascending core order**, single-threaded.
+    /// Outcomes may arrive in any order; they are sorted here, so the
+    /// merge result is independent of thread scheduling. Request-level
+    /// stats were counted inside the window; only the LLC-eviction
+    /// effects `apply` discovers are counted here, in that fixed order.
     pub fn epoch_merge(&mut self, mut outcomes: Vec<WindowOutcome>) {
         outcomes.sort_by_key(|o| o.core.0);
         for out in outcomes {
             for &ev in &out.events {
-                self.replay(out.core, ev);
+                self.apply(out.core, ev);
             }
             for (line, bytes) in out.delta {
                 self.mem.write_bytes(Addr(line * CACHE_LINE), &bytes);
@@ -733,153 +526,12 @@ impl MemorySystem {
             self.stats.merge(&out.stats);
         }
     }
-
-    /// Applies one deferred shared-state transition to the master LLC
-    /// and the *other* cores' private caches. All request-level stats
-    /// were already counted inside the window; only eviction effects
-    /// discovered here (writebacks, back-invalidations), which the
-    /// window cannot see, are counted at replay — replay runs in fixed
-    /// order, so the counts stay deterministic.
-    fn replay(&mut self, core: CoreId, ev: LlcEvent) {
-        match ev {
-            LlcEvent::Touch(line) => {
-                let slice = self.home_slice(line);
-                if let Some(meta) = self.llc[slice.0].peek_mut(line) {
-                    meta.state = LineState::Modified;
-                    meta.sharers |= 1 << core.0;
-                }
-            }
-            LlcEvent::Upgrade(line) => {
-                let slice = self.home_slice(line);
-                let Some(meta) = self.llc[slice.0].peek_mut(line) else {
-                    return;
-                };
-                let others = meta.sharers & !(1 << core.0);
-                meta.sharers = 1 << core.0;
-                meta.state = LineState::Modified;
-                for c in 0..self.cfg.cores {
-                    if others & (1 << c) != 0 {
-                        self.l1d[c].invalidate(line);
-                        self.l2[c].invalidate(line);
-                    }
-                }
-            }
-            LlcEvent::FillSharer(line) => {
-                let slice = self.home_slice(line);
-                if let Some(meta) = self.llc[slice.0].peek_mut(line) {
-                    meta.sharers |= 1 << core.0;
-                }
-            }
-            LlcEvent::Access(line, kind) => self.replay_access(core, line, kind),
-            LlcEvent::DirtyWb(line) => {
-                let slice = self.home_slice(line);
-                if let Some(meta) = self.llc[slice.0].peek_mut(line) {
-                    meta.state = LineState::Modified;
-                }
-            }
-        }
-    }
-
-    /// Replays a full LLC walk: the classic hit/miss master transitions
-    /// (LRU bump, dirty-owner downgrade against the real private tags,
-    /// sharer updates, install + inclusive eviction on miss), without
-    /// re-counting the request-level stats the window already counted.
-    fn replay_access(&mut self, core: CoreId, line: LineAddr, kind: AccessKind) {
-        let slice = self.home_slice(line);
-        if self.llc[slice.0].lookup(line).is_some() {
-            let sharers = self.llc[slice.0].peek(line).map_or(0, |m| m.sharers);
-            // Dirty-owner probe against the real private tags.
-            let mut dirty_owner = None;
-            for c in 0..self.cfg.cores {
-                if sharers & (1 << c) != 0 {
-                    let m1 = self.l1d[c].peek(line).map(|m| m.state);
-                    let m2 = self.l2[c].peek(line).map(|m| m.state);
-                    if m1 == Some(LineState::Modified) || m2 == Some(LineState::Modified) {
-                        dirty_owner = Some(CoreId(c));
-                        break;
-                    }
-                }
-            }
-            if let Some(owner) = dirty_owner {
-                if owner != core {
-                    self.downgrade_owner_master(owner, line);
-                }
-            }
-            if kind == AccessKind::Store {
-                let others = sharers & !(1 << core.0);
-                for c in 0..self.cfg.cores {
-                    if others & (1 << c) != 0 {
-                        self.l1d[c].invalidate(line);
-                        self.l2[c].invalidate(line);
-                    }
-                }
-            }
-            if let Some(meta) = self.llc[slice.0].peek_mut(line) {
-                match kind {
-                    AccessKind::Load => meta.sharers |= 1 << core.0,
-                    AccessKind::Store => {
-                        meta.sharers = 1 << core.0;
-                        meta.state = LineState::Modified;
-                    }
-                }
-            }
-        } else {
-            let state = match kind {
-                AccessKind::Load => LineState::Shared,
-                AccessKind::Store => LineState::Modified,
-            };
-            let ev = self.llc[slice.0].insert(line, state);
-            self.replay_llc_eviction(ev);
-            if let Some(meta) = self.llc[slice.0].peek_mut(line) {
-                meta.sharers = 1 << core.0;
-            }
-        }
-    }
-
-    fn downgrade_owner_master(&mut self, owner: CoreId, line: LineAddr) {
-        if let Some(m) = self.l1d[owner.0].peek_mut(line) {
-            m.state = LineState::Shared;
-        }
-        if let Some(m) = self.l2[owner.0].peek_mut(line) {
-            m.state = LineState::Shared;
-        }
-        let slice = self.home_slice(line);
-        if let Some(meta) = self.llc[slice.0].peek_mut(line) {
-            meta.state = LineState::Modified;
-        }
-    }
-
-    /// Inclusive-eviction handling at replay. Eviction stats are counted
-    /// here (not in the window, which cannot observe master evictions);
-    /// replay order is fixed, so the counts are thread-count-invariant.
-    fn replay_llc_eviction(&mut self, ev: Eviction) {
-        let victim = match ev {
-            Eviction::None => return,
-            Eviction::Clean(l) => l,
-            Eviction::Dirty(l) => {
-                self.stats.inc(self.ids.llc_writeback);
-                l
-            }
-        };
-        let mut invalidated = false;
-        for c in 0..self.cfg.cores {
-            if self.l1d[c].invalidate(victim).is_some() {
-                invalidated = true;
-            }
-            if self.l2[c].invalidate(victim).is_some() {
-                invalidated = true;
-            }
-        }
-        if invalidated {
-            self.stats.inc(self.ids.llc_back_inval);
-        }
-        self.locks.remove(victim);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::HitLevel;
 
     fn sys() -> MemorySystem {
         MemorySystem::new(MachineConfig::small())
@@ -921,65 +573,151 @@ mod tests {
         assert_eq!(cow.dirty_lines(), 3, "spans three lines");
     }
 
-    /// The invariant the whole scheme rests on: a window executed
-    /// against a shard and merged equals the classic sequential
-    /// execution for single-core traffic (where no cross-core
-    /// interleaving exists to differ on).
-    #[test]
-    fn single_core_window_matches_classic_run() {
-        let mk = |n: u64| {
-            let mut s = sys();
-            let base = s.data_mut().alloc_lines(64 * n);
-            (s, base)
+    /// Everything observable after a single-core run: each op's
+    /// `(complete, level)`, every counter sorted by name, and every
+    /// resident `(line, state, sharers)` of core 0's L1 and L2 and of
+    /// each LLC slice, in way order.
+    type RunImage = (
+        Vec<(Cycle, HitLevel)>,
+        Vec<(String, u64)>,
+        Vec<Vec<(LineAddr, LineState, u64)>>,
+    );
+
+    fn image(s: &MemorySystem, outcomes: Vec<(Cycle, HitLevel)>) -> RunImage {
+        let mut counters: Vec<_> = s
+            .stats()
+            .counters()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect();
+        counters.sort();
+        let lines = |it: &mut dyn Iterator<Item = &LineMeta>| {
+            it.map(|m| (m.line, m.state, m.sharers)).collect::<Vec<_>>()
         };
-        let n = 200u64;
-        let (mut classic, base_a) = mk(n);
-        let (mut epoch, base_b) = mk(n);
-        assert_eq!(base_a, base_b);
-
-        let mut t_classic = Cycle(0);
-        for i in 0..n {
-            let kind = if i % 3 == 0 {
-                AccessKind::Store
-            } else {
-                AccessKind::Load
-            };
-            t_classic = classic
-                .access(CoreId(0), base_a + (i % 50) * 64, kind, t_classic)
-                .complete;
+        let mut arrays = vec![
+            lines(&mut s.l1_lines(CoreId(0))),
+            lines(&mut s.l2_lines(CoreId(0))),
+        ];
+        for slice in 0..s.config().slices {
+            arrays.push(lines(&mut s.llc_slice_lines(SliceId(slice))));
         }
+        (outcomes, counters, arrays)
+    }
 
-        let mut t_epoch = Cycle(0);
-        {
-            let mut fleet = epoch.epoch_split(1);
-            let shard = &mut fleet[0];
-            for i in 0..n {
-                let kind = if i % 3 == 0 {
+    /// A seeded core-0 stream over `lines` lines, one store in three.
+    fn stream(lines: u64, n: usize) -> Vec<(u64, AccessKind)> {
+        let mut rng = halo_sim::SplitMix64::new(0x5EED ^ lines);
+        (0..n)
+            .map(|_| {
+                let line = rng.next_u64() % lines;
+                let kind = if rng.next_u64().is_multiple_of(3) {
                     AccessKind::Store
                 } else {
                     AccessKind::Load
                 };
-                t_epoch = shard
-                    .window_access(CoreId(0), base_b + (i % 50) * 64, kind, t_epoch)
-                    .complete;
-            }
-            let out: Vec<_> = fleet.into_iter().map(EpochCore::finish).collect();
-            epoch.epoch_merge(out);
-        }
+                (line, kind)
+            })
+            .collect()
+    }
 
-        assert_eq!(t_classic, t_epoch, "single-core timing must be identical");
-        for key in ["mem.load", "mem.store", "l1d.hit", "l1d.miss", "llc.miss"] {
-            assert_eq!(
-                classic.stats().counter(key),
-                epoch.stats().counter(key),
-                "counter {key}"
-            );
+    /// Runs `ops` as a dependent chain on core 0, classically when
+    /// `window` is `None`, else as epoch windows of `window` ops each.
+    fn run_single_core(lines: u64, ops: &[(u64, AccessKind)], window: Option<usize>) -> RunImage {
+        let mut s = sys();
+        let base = s.data_mut().alloc_lines(64 * lines);
+        let mut t = Cycle(0);
+        let mut outcomes = Vec::with_capacity(ops.len());
+        let mut record = |o: AccessOutcome, t: &mut Cycle| {
+            *t = o.complete;
+            outcomes.push((o.complete, o.level));
+        };
+        match window {
+            None => {
+                for &(line, kind) in ops {
+                    record(s.access(CoreId(0), base + line * 64, kind, t), &mut t);
+                }
+            }
+            Some(w) => {
+                for chunk in ops.chunks(w) {
+                    let mut fleet = s.epoch_split(1);
+                    for &(line, kind) in chunk {
+                        record(
+                            fleet[0].access(CoreId(0), base + line * 64, kind, t),
+                            &mut t,
+                        );
+                    }
+                    let out: Vec<_> = fleet.into_iter().map(EpochCore::finish).collect();
+                    s.epoch_merge(out);
+                }
+            }
         }
-        // Master cache state converged identically.
-        for i in 0..50u64 {
-            let a = base_a + i * 64;
-            assert_eq!(classic.in_l1(CoreId(0), a), epoch.in_l1(CoreId(0), a));
-            assert_eq!(classic.in_llc(a), epoch.in_llc(a));
+        image(&s, outcomes)
+    }
+
+    /// The invariant the whole scheme rests on: windows executed
+    /// against a shard and merged equal the classic sequential
+    /// execution for single-core traffic (where no cross-core
+    /// interleaving exists to differ on). Working sets of 100 lines
+    /// (L1-resident), 600 (past L1) and 3,000 (past L2, so private
+    /// evictions and dirty writebacks happen inside windows), each in
+    /// 500-op windows and in one window spanning the whole stream. All
+    /// stay below LLC capacity: a window's LLC view has no capacity
+    /// limit (DESIGN.md §13).
+    #[test]
+    fn single_core_window_matches_classic_run() {
+        let n = 6_000;
+        for lines in [100u64, 600, 3_000] {
+            let ops = stream(lines, n);
+            let classic = run_single_core(lines, &ops, None);
+            let count = |key: &str| classic.1.iter().find(|(k, _)| k == key).map(|&(_, v)| v);
+            if lines == 3_000 {
+                assert!(
+                    count("private.writeback") > Some(0),
+                    "no dirty private eviction"
+                );
+            }
+            for window in [500, n] {
+                let epoch = run_single_core(lines, &ops, Some(window));
+                for (i, (c, e)) in classic.0.iter().zip(&epoch.0).enumerate() {
+                    assert_eq!(c, e, "{lines} lines, window {window}: op {i}");
+                }
+                assert_eq!(
+                    classic.1, epoch.1,
+                    "{lines} lines, window {window}: counters"
+                );
+                assert_eq!(classic.2, epoch.2, "{lines} lines, window {window}: lines");
+            }
+        }
+    }
+
+    /// A window's directory view is what the merge makes of the master:
+    /// after each single-core window, every line reads the same home
+    /// `(state, sharers)` through the shard as through the merged
+    /// system (below LLC capacity, where the merge evicts nothing). The
+    /// identity test above cannot see the view, because one core's
+    /// timing never consults other sharers.
+    #[test]
+    fn window_view_matches_merged_master() {
+        for lines in [100u64, 600, 3_000] {
+            let mut s = sys();
+            let base = s.data_mut().alloc_lines(64 * lines);
+            let homes = |ctx: &dyn Fn(LineAddr) -> Option<(LineState, u64)>| {
+                (0..lines)
+                    .map(|i| ctx((base + i * 64).line()))
+                    .collect::<Vec<_>>()
+            };
+            let mut t = Cycle(0);
+            for chunk in stream(lines, 2_000).chunks(500) {
+                let mut fleet = s.epoch_split(1);
+                for &(line, kind) in chunk {
+                    t = fleet[0]
+                        .access(CoreId(0), base + line * 64, kind, t)
+                        .complete;
+                }
+                let view = homes(&|l| fleet[0].home(l));
+                let out: Vec<_> = fleet.into_iter().map(EpochCore::finish).collect();
+                s.epoch_merge(out);
+                assert_eq!(view, homes(&|l| s.home(l)), "{lines} lines");
+            }
         }
     }
 
@@ -1001,7 +739,7 @@ mod tests {
                         AccessKind::Load
                     };
                     t = shard
-                        .window_access(core, base + ((i * 7 + salt) % 40) * 64, kind, t)
+                        .access(core, base + ((i * 7 + salt) % 40) * 64, kind, t)
                         .complete;
                 }
             };

@@ -7,7 +7,7 @@
 //! what state) is tracked exactly.
 
 use crate::addr::{Addr, CoreId, LineAddr, SliceId};
-use crate::cache::{CacheArray, Eviction, LineState};
+use crate::cache::{CacheArray, Eviction, LineMeta, LineState};
 use crate::config::MachineConfig;
 use crate::locks::LockTable;
 use crate::memory::SimMemory;
@@ -20,6 +20,17 @@ pub enum AccessKind {
     Load,
     /// A write (obtains ownership, dirties the line).
     Store,
+}
+
+impl AccessKind {
+    /// The state a line enters when this access fills it: S on reads,
+    /// M on writes.
+    pub(crate) fn fill_state(self) -> LineState {
+        match self {
+            AccessKind::Load => LineState::Shared,
+            AccessKind::Store => LineState::Modified,
+        }
+    }
 }
 
 /// Where an access was satisfied.
@@ -176,6 +187,37 @@ pub(crate) fn slice_hash(line: LineAddr, slices: usize) -> SliceId {
     SliceId((h as usize) % slices)
 }
 
+/// The (unreduced) DRAM channel index of a line.
+#[inline]
+fn dram_channel(line: LineAddr) -> usize {
+    (line.0 ^ (line.0 >> 9)) as usize
+}
+
+/// Hop distance between stops `a` and `b` of a bidirectional ring of
+/// `n` stops.
+#[inline]
+fn ring_hops(n: usize, a: usize, b: usize) -> u64 {
+    let d = a.abs_diff(b);
+    d.min(n - d) as u64
+}
+
+/// Interconnect round trip between a core (ring stop `core % slices`)
+/// and a slice.
+#[inline]
+fn round_trip(cfg: &MachineConfig, core: CoreId, slice: SliceId) -> Cycles {
+    let hops = ring_hops(cfg.slices, core.0 % cfg.slices, slice.0);
+    Cycles(2 * hops * cfg.hop_latency.0)
+}
+
+/// When invalidations sent from `slice` at `at` have reached the
+/// private caches of every core in `mask`.
+fn invalidation_done(cfg: &MachineConfig, slice: SliceId, mask: u64, at: Cycle) -> Cycle {
+    (0..cfg.cores)
+        .filter(|c| mask & (1 << c) != 0)
+        .map(|c| at + round_trip(cfg, CoreId(c), slice))
+        .fold(at, Cycle::max)
+}
+
 /// Address-interleaved L1 banks per core: two load pipes and one store
 /// pipe per cycle on modern cores.
 pub(crate) const L1_BANKS: usize = 3;
@@ -305,17 +347,7 @@ impl MemorySystem {
     /// stop `i % slices`).
     #[must_use]
     pub fn hops(&self, core: CoreId, slice: SliceId) -> u64 {
-        let n = self.cfg.slices;
-        let a = core.0 % n;
-        let b = slice.0;
-        let d = a.abs_diff(b);
-        d.min(n - d) as u64
-    }
-
-    fn hops_slice(&self, from: SliceId, to: SliceId) -> u64 {
-        let n = self.cfg.slices;
-        let d = from.0.abs_diff(to.0);
-        d.min(n - d) as u64
+        ring_hops(self.cfg.slices, core.0 % self.cfg.slices, slice.0)
     }
 
     // ------------------------------------------------------------------
@@ -337,157 +369,13 @@ impl MemorySystem {
         kind: AccessKind,
         at: Cycle,
     ) -> AccessOutcome {
-        let out = self.access_untraced(core, addr, kind, at);
+        assert!(core.0 < self.cfg.cores, "core out of range");
+        let out = core_access(self, core, addr, kind, at);
         if self.tracer.is_enabled() {
             self.tracer
                 .span("mem", level_op(out.level), at, out.complete);
         }
         out
-    }
-
-    /// The uninstrumented access path ([`access`](Self::access) minus
-    /// the hit-level span), shared by the traced wrapper.
-    fn access_untraced(
-        &mut self,
-        core: CoreId,
-        addr: Addr,
-        kind: AccessKind,
-        at: Cycle,
-    ) -> AccessOutcome {
-        assert!(core.0 < self.cfg.cores, "core out of range");
-        let line = addr.line();
-        match kind {
-            AccessKind::Load => self.stats.inc(self.ids.mem_load),
-            AccessKind::Store => self.stats.inc(self.ids.mem_store),
-        }
-
-        // L1 lookup.
-        let t_l1 = self.l1_port[core.0].serve_on(l1_bank(line), at);
-        if let Some(meta) = self.l1d[core.0].lookup(line) {
-            let state = meta.state;
-            self.stats.inc(self.ids.l1d_hit);
-            if kind == AccessKind::Store && state != LineState::Modified {
-                // Upgrade: invalidate other sharers through the directory.
-                let t = self.upgrade_for_store(core, line, t_l1);
-                self.touch_private_store(core, line);
-                return AccessOutcome {
-                    complete: t,
-                    level: HitLevel::L1,
-                };
-            }
-            if kind == AccessKind::Store {
-                self.touch_private_store(core, line);
-            }
-            return AccessOutcome {
-                complete: t_l1,
-                level: HitLevel::L1,
-            };
-        }
-        self.stats.inc(self.ids.l1d_miss);
-
-        // L2 lookup.
-        let t_l2 = self.l2_port[core.0].serve(at);
-        let t_l2 = t_l2.max(t_l1);
-        if let Some(meta) = self.l2[core.0].lookup(line) {
-            let state = meta.state;
-            self.stats.inc(self.ids.l2_hit);
-            let mut t = t_l2;
-            if kind == AccessKind::Store && state != LineState::Modified {
-                t = self.upgrade_for_store(core, line, t);
-            }
-            self.fill_private(core, line, kind);
-            return AccessOutcome {
-                complete: t,
-                level: HitLevel::L2,
-            };
-        }
-        self.stats.inc(self.ids.l2_miss);
-
-        // LLC: traverse interconnect to the home slice.
-        let slice = self.home_slice(line);
-        let wire = Cycles(2 * self.hops(core, slice) * self.cfg.hop_latency.0);
-        let t_llc = self.slice_port[slice.0].serve(t_l2 + wire);
-
-        let (present, locked_until, dirty_owner, sharers) = self.llc_probe(slice, line);
-        if present {
-            self.stats.inc(self.ids.llc_hit);
-            let mut t = t_llc;
-            let mut level = HitLevel::Llc;
-
-            // HALO lock bit: stores must wait for the lock to clear.
-            let _ = locked_until;
-            if kind == AccessKind::Store {
-                if let Some(rel) = self.prune_lock(line, t) {
-                    self.stats.inc(self.ids.store_lock_retry);
-                    t = rel + Cycles(4); // re-issued snoop-invalidate
-                }
-            }
-
-            // Dirty in a remote private cache: core-to-core transfer.
-            if let Some(owner) = dirty_owner {
-                if owner != core {
-                    self.stats.inc(self.ids.llc_dirty_snoop);
-                    t += self.cfg.dirty_snoop_latency;
-                    level = HitLevel::LlcRemoteDirty;
-                    self.downgrade_owner(owner, line);
-                }
-            }
-
-            if kind == AccessKind::Store && sharers != 0 {
-                t = self.invalidate_other_sharers(core, line, slice, t);
-            }
-            self.llc_note_access(slice, line, core, kind);
-            self.fill_private(core, line, kind);
-            return AccessOutcome { complete: t, level };
-        }
-        self.stats.inc(self.ids.llc_miss);
-
-        // DRAM.
-        let chan = (line.0 ^ (line.0 >> 9)) as usize;
-        let t_dram = self.dram.serve(chan, t_llc);
-        self.stats.inc(self.ids.dram_access);
-        self.llc_install(slice, line, core, kind);
-        self.fill_private(core, line, kind);
-        AccessOutcome {
-            complete: t_dram,
-            level: HitLevel::Dram,
-        }
-    }
-
-    /// Performs a dependent chain of timed accesses: each op issues at
-    /// the previous op's completion cycle (the first at `at`). Appends
-    /// one outcome per op to `out` and returns the completion cycle of
-    /// the last op (`at` when `ops` is empty).
-    ///
-    /// Produces exactly the outcomes and statistics of the equivalent
-    /// scalar loop
-    ///
-    /// ```ignore
-    /// for &(a, k) in ops { t = sys.access(core, a, k, t).complete; }
-    /// ```
-    ///
-    /// but hoists per-access dispatch overhead (core bounds check, stat
-    /// handle resolution) out of the inner loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn access_batch(
-        &mut self,
-        core: CoreId,
-        ops: &[(Addr, AccessKind)],
-        at: Cycle,
-        out: &mut Vec<AccessOutcome>,
-    ) -> Cycle {
-        assert!(core.0 < self.cfg.cores, "core out of range");
-        out.reserve(ops.len());
-        let mut t = at;
-        for &(addr, kind) in ops {
-            let o = self.access(core, addr, kind, t);
-            t = o.complete;
-            out.push(o);
-        }
-        t
     }
 
     /// A coherence-neutral snapshot read (the `SNAPSHOT_READ` instruction):
@@ -521,7 +409,7 @@ impl MemorySystem {
             };
         }
         let slice = self.home_slice(line);
-        let wire = Cycles(2 * self.hops(core, slice) * self.cfg.hop_latency.0);
+        let wire = round_trip(&self.cfg, core, slice);
         let t_llc = self.slice_port[slice.0].serve(at + self.cfg.l2_latency + wire);
         if self.llc[slice.0].peek(line).is_some() {
             // No sharer update, no private fill: ownership unchanged.
@@ -530,8 +418,7 @@ impl MemorySystem {
                 level: HitLevel::Llc,
             };
         }
-        let chan = (line.0 ^ (line.0 >> 9)) as usize;
-        let t_dram = self.dram.serve(chan, t_llc);
+        let t_dram = self.dram.serve(dram_channel(line), t_llc);
         self.llc_install_untracked(slice, line);
         AccessOutcome {
             complete: t_dram,
@@ -580,35 +467,37 @@ impl MemorySystem {
             // home CHA and the data rides back, but both stay on the
             // uncore fast path (no core-side queueing), so the array
             // access itself is the short CHA-internal one.
-            let wire = Cycles(self.hops_slice(from, home) * self.cfg.hop_latency.0);
+            let hops = ring_hops(self.cfg.slices, from.0, home.0);
+            let wire = Cycles(hops * self.cfg.hop_latency.0);
             self.slice_port[home.0].serve_with_latency(at + wire, self.cfg.accel_local_latency)
         };
 
-        let (present, _locked, dirty_owner, sharers) = self.llc_probe(home, line);
-        if present {
+        if let Some(sharers) = self.llc[home.0].lookup(line).map(|m| m.sharers) {
             self.stats.inc(self.ids.accel_llc_hit);
             let mut t = t_arr;
             let mut level = HitLevel::Llc;
-            if let Some(owner) = dirty_owner {
+            if let Some(owner) = self.dirty_owner(line, sharers) {
                 self.stats.inc(self.ids.llc_dirty_snoop);
                 t += self.cfg.dirty_snoop_latency;
                 level = HitLevel::LlcRemoteDirty;
                 self.downgrade_owner(owner, line);
             }
-            if kind == AccessKind::Store && sharers != 0 {
-                // Invalidate core copies before the accelerator writes.
-                t = self.invalidate_all_sharers(line, home, t);
-            }
             if kind == AccessKind::Store {
+                // Invalidate core copies before the accelerator writes.
+                if sharers != 0 {
+                    self.stats.inc(self.ids.coherence_invalidation);
+                    self.invalidate_private(sharers, line);
+                    t = invalidation_done(&self.cfg, home, sharers, t);
+                }
                 if let Some(meta) = self.llc[home.0].peek_mut(line) {
+                    meta.sharers = 0;
                     meta.state = LineState::Modified;
                 }
             }
             return AccessOutcome { complete: t, level };
         }
         self.stats.inc(self.ids.accel_llc_miss);
-        let chan = (line.0 ^ (line.0 >> 9)) as usize;
-        let t_dram = self.dram.serve(chan, t_arr);
+        let t_dram = self.dram.serve(dram_channel(line), t_arr);
         self.llc_install_untracked(home, line);
         if kind == AccessKind::Store {
             if let Some(meta) = self.llc[home.0].peek_mut(line) {
@@ -674,18 +563,8 @@ impl MemorySystem {
     pub fn warm_private(&mut self, core: CoreId, addr: Addr) {
         self.warm_llc(addr);
         let line = addr.line();
-        if self.l2[core.0].peek(line).is_none() {
-            let ev = self.l2[core.0].insert(line, LineState::Shared);
-            self.handle_private_eviction(core, ev);
-        }
-        if self.l1d[core.0].peek(line).is_none() {
-            let ev = self.l1d[core.0].insert(line, LineState::Shared);
-            self.handle_private_eviction(core, ev);
-        }
-        let slice = self.home_slice(line);
-        if let Some(meta) = self.llc[slice.0].peek_mut(line) {
-            meta.sharers |= 1 << core.0;
-        }
+        fill_private(self, core, line, AccessKind::Load);
+        self.apply(core, LlcEvent::FillSharer(line));
     }
 
     /// Models a DDIO packet delivery: the NIC DMA-writes the line
@@ -710,9 +589,9 @@ impl MemorySystem {
     }
 
     /// Drops every line from `core`'s private caches. Sharer masks in the
-    /// directory are left conservatively stale (see
-    /// `handle_private_eviction`); the dirty-owner probe re-checks private
-    /// tags, so correctness is unaffected.
+    /// directory are left conservatively stale (as on any clean private
+    /// eviction); the dirty-owner probe re-checks private tags, so
+    /// correctness is unaffected.
     pub fn flush_private(&mut self, core: CoreId) {
         self.l1d[core.0].clear();
         self.l2[core.0].clear();
@@ -823,54 +702,51 @@ impl MemorySystem {
         }
     }
 
-    /// Probe the LLC directory: (present, lock release, dirty private
-    /// owner, sharer mask).
-    fn llc_probe(
-        &mut self,
-        slice: SliceId,
-        line: LineAddr,
-    ) -> (bool, Option<Cycle>, Option<CoreId>, u64) {
-        let locked_until = self.locks.get(line);
-        let Some(meta) = self.llc[slice.0].lookup(line) else {
-            return (false, locked_until, None, 0);
-        };
-        let sharers = meta.sharers;
-        // Find a private dirty owner: a sharer whose L1/L2 holds Modified.
-        let mut dirty_owner = None;
-        for c in 0..self.cfg.cores {
-            if sharers & (1 << c) != 0 {
-                let m1 = self.l1d[c].peek(line).map(|m| m.state);
-                let m2 = self.l2[c].peek(line).map(|m| m.state);
-                if m1 == Some(LineState::Modified) || m2 == Some(LineState::Modified) {
-                    dirty_owner = Some(CoreId(c));
-                    break;
-                }
-            }
-        }
-        (true, locked_until, dirty_owner, sharers)
+    /// The first core in `sharers` whose private L1 or L2 holds `line`
+    /// Modified.
+    fn dirty_owner(&self, line: LineAddr, sharers: u64) -> Option<CoreId> {
+        (0..self.cfg.cores)
+            .filter(|&c| sharers & (1 << c) != 0)
+            .find(|&c| {
+                [&self.l1d[c], &self.l2[c]]
+                    .iter()
+                    .any(|a| a.peek(line).is_some_and(|m| m.state == LineState::Modified))
+            })
+            .map(CoreId)
     }
 
-    fn llc_note_access(&mut self, slice: SliceId, line: LineAddr, core: CoreId, kind: AccessKind) {
-        if let Some(meta) = self.llc[slice.0].peek_mut(line) {
-            match kind {
-                AccessKind::Load => meta.sharers |= 1 << core.0,
-                AccessKind::Store => {
+    /// Applies one home-side transition of `core`'s access to the master:
+    /// the LLC directory and the *other* cores' private caches. The only
+    /// code that does so for core accesses — the classic path calls it as
+    /// each transition happens, [`epoch_merge`](Self::epoch_merge) at the
+    /// barrier for each queued one. Request-level stats belong to the
+    /// access body; only LLC-eviction effects are counted here.
+    pub(crate) fn apply(&mut self, core: CoreId, ev: LlcEvent) {
+        let line = ev.line();
+        let slice = self.home_slice(line).0;
+        if let LlcEvent::Access(_, kind) = ev {
+            let Some(sharers) = self.llc[slice].lookup(line).map(|m| m.sharers) else {
+                let victim = self.llc[slice].insert(line, kind.fill_state());
+                self.handle_llc_eviction(victim);
+                if let Some(meta) = self.llc[slice].peek_mut(line) {
                     meta.sharers = 1 << core.0;
-                    meta.state = LineState::Modified;
                 }
+                return;
+            };
+            if let Some(owner) = self.dirty_owner(line, sharers).filter(|&o| o != core) {
+                self.downgrade_owner(owner, line);
             }
         }
-    }
-
-    fn llc_install(&mut self, slice: SliceId, line: LineAddr, core: CoreId, kind: AccessKind) {
-        let state = match kind {
-            AccessKind::Load => LineState::Shared,
-            AccessKind::Store => LineState::Modified,
+        let Some(meta) = self.llc[slice].peek_mut(line) else {
+            return;
         };
-        let ev = self.llc[slice.0].insert(line, state);
-        self.handle_llc_eviction(ev);
-        if let Some(meta) = self.llc[slice.0].peek_mut(line) {
-            meta.sharers = 1 << core.0;
+        let others = meta.sharers & !(1 << core.0);
+        ev.update(meta, core);
+        if matches!(
+            ev,
+            LlcEvent::Upgrade(_) | LlcEvent::Access(_, AccessKind::Store)
+        ) {
+            self.invalidate_private(others, line);
         }
     }
 
@@ -904,130 +780,12 @@ impl MemorySystem {
         self.locks.remove(victim);
     }
 
-    fn fill_private(&mut self, core: CoreId, line: LineAddr, kind: AccessKind) {
-        let state = match kind {
-            AccessKind::Load => LineState::Shared,
-            AccessKind::Store => LineState::Modified,
-        };
-        if self.l2[core.0].peek(line).is_none() {
-            let ev = self.l2[core.0].insert(line, state);
-            self.handle_private_eviction(core, ev);
-        } else if kind == AccessKind::Store {
-            if let Some(m) = self.l2[core.0].peek_mut(line) {
-                m.state = LineState::Modified;
-            }
+    /// Drops `line` from the private caches of every core in `mask`.
+    fn invalidate_private(&mut self, mask: u64, line: LineAddr) {
+        for c in (0..self.cfg.cores).filter(|c| mask & (1 << c) != 0) {
+            self.l1d[c].invalidate(line);
+            self.l2[c].invalidate(line);
         }
-        if self.l1d[core.0].peek(line).is_none() {
-            let ev = self.l1d[core.0].insert(line, state);
-            self.handle_private_eviction(core, ev);
-        } else if kind == AccessKind::Store {
-            if let Some(m) = self.l1d[core.0].peek_mut(line) {
-                m.state = LineState::Modified;
-            }
-        }
-        let slice = self.home_slice(line);
-        if let Some(meta) = self.llc[slice.0].peek_mut(line) {
-            meta.sharers |= 1 << core.0;
-        }
-    }
-
-    fn handle_private_eviction(&mut self, _core: CoreId, ev: Eviction) {
-        match ev {
-            Eviction::None | Eviction::Clean(_) => {}
-            Eviction::Dirty(l) => {
-                self.stats.inc(self.ids.private_writeback);
-                // Data stays authoritative in SimMemory; mark LLC dirty.
-                let slice = self.home_slice(l);
-                if let Some(meta) = self.llc[slice.0].peek_mut(l) {
-                    meta.state = LineState::Modified;
-                }
-            }
-        }
-        // NOTE: sharer masks are left conservatively stale on clean
-        // private evictions (real directories are also imprecise); the
-        // dirty-owner probe re-checks private tags, so correctness holds.
-    }
-
-    fn touch_private_store(&mut self, core: CoreId, line: LineAddr) {
-        if let Some(m) = self.l1d[core.0].peek_mut(line) {
-            m.state = LineState::Modified;
-        }
-        if let Some(m) = self.l2[core.0].peek_mut(line) {
-            m.state = LineState::Modified;
-        }
-        let slice = self.home_slice(line);
-        if let Some(meta) = self.llc[slice.0].peek_mut(line) {
-            meta.state = LineState::Modified;
-            meta.sharers |= 1 << core.0;
-        }
-    }
-
-    /// Store upgrade from a non-exclusive private copy: consult the
-    /// directory and invalidate other sharers.
-    fn upgrade_for_store(&mut self, core: CoreId, line: LineAddr, at: Cycle) -> Cycle {
-        let slice = self.home_slice(line);
-        let wire = Cycles(2 * self.hops(core, slice) * self.cfg.hop_latency.0);
-        let t = at + wire + Cycles(self.cfg.llc_latency.0 / 2);
-        // Lock bit check on upgrade as well.
-        let t = match self.prune_lock(line, t) {
-            Some(rel) => {
-                self.stats.inc(self.ids.store_lock_retry);
-                rel + Cycles(4)
-            }
-            None => t,
-        };
-        self.invalidate_other_sharers(core, line, slice, t)
-    }
-
-    fn invalidate_other_sharers(
-        &mut self,
-        core: CoreId,
-        line: LineAddr,
-        slice: SliceId,
-        at: Cycle,
-    ) -> Cycle {
-        let Some(meta) = self.llc[slice.0].peek_mut(line) else {
-            return at;
-        };
-        let others = meta.sharers & !(1 << core.0);
-        meta.sharers = 1 << core.0;
-        meta.state = LineState::Modified;
-        if others == 0 {
-            return at;
-        }
-        self.stats.inc(self.ids.coherence_invalidation);
-        let mut t = at;
-        for c in 0..self.cfg.cores {
-            if others & (1 << c) != 0 {
-                self.l1d[c].invalidate(line);
-                self.l2[c].invalidate(line);
-                let d = Cycles(self.hops(CoreId(c), slice) * self.cfg.hop_latency.0 * 2);
-                t = t.max(at + d);
-            }
-        }
-        t
-    }
-
-    fn invalidate_all_sharers(&mut self, line: LineAddr, slice: SliceId, at: Cycle) -> Cycle {
-        let Some(meta) = self.llc[slice.0].peek_mut(line) else {
-            return at;
-        };
-        let sharers = meta.sharers;
-        meta.sharers = 0;
-        if sharers == 0 {
-            return at;
-        }
-        self.stats.inc(self.ids.coherence_invalidation);
-        let mut t = at;
-        for c in 0..self.cfg.cores {
-            if sharers & (1 << c) != 0 {
-                self.l1d[c].invalidate(line);
-                self.l2[c].invalidate(line);
-                let d = Cycles(self.hops(CoreId(c), slice) * self.cfg.hop_latency.0 * 2);
-                t = t.max(at + d);
-            }
-        }
-        t
     }
 
     fn downgrade_owner(&mut self, owner: CoreId, line: LineAddr) {
@@ -1040,6 +798,296 @@ impl MemorySystem {
         let slice = self.home_slice(line);
         if let Some(meta) = self.llc[slice.0].peek_mut(line) {
             meta.state = LineState::Modified; // LLC now holds latest data
+        }
+    }
+}
+
+// ----------------------------------------------------------------------
+// The core-access protocol, written once
+// ----------------------------------------------------------------------
+
+/// A home-side effect of a core access: the vocabulary of the one
+/// [`MemorySystem::apply`]. The classic path applies each as it happens;
+/// an epoch shard applies it to its window view and queues it for the
+/// barrier merge.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum LlcEvent {
+    /// Store hit on a private copy that is (now) Modified: home meta
+    /// becomes Modified with this core added to the sharer set.
+    Touch(LineAddr),
+    /// Store upgrade from a non-exclusive private copy: other sharers'
+    /// private copies are invalidated; home meta becomes exclusively
+    /// this core's, Modified.
+    Upgrade(LineAddr),
+    /// Load refill from an L2 hit: this core joins the sharer set.
+    FillSharer(LineAddr),
+    /// A home-slice walk (L2 miss): install on a miss (with inclusive
+    /// eviction); on a hit, downgrade a remote dirty owner, invalidate
+    /// other sharers for a store, and record this core.
+    Access(LineAddr, AccessKind),
+    /// A dirty private-cache eviction wrote the line back: home meta
+    /// becomes Modified.
+    DirtyWb(LineAddr),
+}
+
+impl LlcEvent {
+    /// The line this event concerns.
+    pub(crate) fn line(self) -> LineAddr {
+        match self {
+            LlcEvent::Touch(l)
+            | LlcEvent::Upgrade(l)
+            | LlcEvent::FillSharer(l)
+            | LlcEvent::Access(l, _)
+            | LlcEvent::DirtyWb(l) => l,
+        }
+    }
+
+    /// The directory transition of a resident home line.
+    pub(crate) fn update(self, meta: &mut LineMeta, core: CoreId) {
+        let me = 1 << core.0;
+        match self {
+            LlcEvent::Touch(_) => {
+                meta.state = LineState::Modified;
+                meta.sharers |= me;
+            }
+            LlcEvent::Upgrade(_) | LlcEvent::Access(_, AccessKind::Store) => {
+                meta.state = LineState::Modified;
+                meta.sharers = me;
+            }
+            LlcEvent::FillSharer(_) | LlcEvent::Access(_, AccessKind::Load) => meta.sharers |= me,
+            LlcEvent::DirtyWb(_) => meta.state = LineState::Modified,
+        }
+    }
+}
+
+/// What differs between the two places [`core_access`] runs: the
+/// classic [`MemorySystem`] (live state; transitions applied at once) and
+/// an epoch shard (frozen LLC view; transitions queued for the merge).
+pub(crate) trait AccessCtx {
+    fn cfg(&self) -> &MachineConfig;
+    fn ids(&self) -> &MemStatIds;
+    /// Bumps one counter in this context's stat sink.
+    fn inc(&mut self, id: StatId);
+    fn l1(&mut self, core: CoreId) -> &mut CacheArray;
+    fn l2(&mut self, core: CoreId) -> &mut CacheArray;
+    fn l1_port(&mut self, core: CoreId) -> &mut BankedResource;
+    fn l2_port(&mut self, core: CoreId) -> &mut Resource;
+    fn slice_port(&mut self, slice: SliceId) -> &mut Resource;
+    fn dram(&mut self) -> &mut BankedResource;
+    /// The home directory's `(state, sharers)` for `line`, if resident.
+    fn home(&self, line: LineAddr) -> Option<(LineState, u64)>;
+    /// Whether an LLC hit by `core` must pull `line` out of another
+    /// core's Modified private copy, given the home `(state, sharers)`.
+    fn remote_dirty(
+        &mut self,
+        core: CoreId,
+        line: LineAddr,
+        state: LineState,
+        sharers: u64,
+    ) -> bool;
+    /// The release cycle of a hardware lock a store to `line` issued at
+    /// `at` must wait for.
+    fn store_lock(&mut self, line: LineAddr, at: Cycle) -> Option<Cycle>;
+    /// Carries out one home-side transition of `core`'s access.
+    fn transition(&mut self, core: CoreId, ev: LlcEvent);
+}
+
+impl AccessCtx for MemorySystem {
+    fn cfg(&self) -> &MachineConfig {
+        &self.cfg
+    }
+    fn ids(&self) -> &MemStatIds {
+        &self.ids
+    }
+    fn inc(&mut self, id: StatId) {
+        self.stats.inc(id);
+    }
+    fn l1(&mut self, core: CoreId) -> &mut CacheArray {
+        &mut self.l1d[core.0]
+    }
+    fn l2(&mut self, core: CoreId) -> &mut CacheArray {
+        &mut self.l2[core.0]
+    }
+    fn l1_port(&mut self, core: CoreId) -> &mut BankedResource {
+        &mut self.l1_port[core.0]
+    }
+    fn l2_port(&mut self, core: CoreId) -> &mut Resource {
+        &mut self.l2_port[core.0]
+    }
+    fn slice_port(&mut self, slice: SliceId) -> &mut Resource {
+        &mut self.slice_port[slice.0]
+    }
+    fn dram(&mut self) -> &mut BankedResource {
+        &mut self.dram
+    }
+    fn home(&self, line: LineAddr) -> Option<(LineState, u64)> {
+        let meta = self.llc[self.home_slice(line).0].peek(line)?;
+        Some((meta.state, meta.sharers))
+    }
+    /// Probes the live private tags of the sharers.
+    fn remote_dirty(&mut self, core: CoreId, line: LineAddr, _: LineState, sharers: u64) -> bool {
+        self.dirty_owner(line, sharers).is_some_and(|o| o != core)
+    }
+    fn store_lock(&mut self, line: LineAddr, at: Cycle) -> Option<Cycle> {
+        self.prune_lock(line, at)
+    }
+    fn transition(&mut self, core: CoreId, ev: LlcEvent) {
+        self.apply(core, ev);
+    }
+}
+
+/// The one core-access body: L1, then L2, then the home slice, then
+/// DRAM. Timing comes from the context's ports and directory reads;
+/// every home-side effect goes through [`AccessCtx::transition`].
+pub(crate) fn core_access<C: AccessCtx>(
+    c: &mut C,
+    core: CoreId,
+    addr: Addr,
+    kind: AccessKind,
+    at: Cycle,
+) -> AccessOutcome {
+    let line = addr.line();
+    let store = kind == AccessKind::Store;
+    c.inc(if store {
+        c.ids().mem_store
+    } else {
+        c.ids().mem_load
+    });
+
+    let t_l1 = c.l1_port(core).serve_on(l1_bank(line), at);
+    if let Some(state) = c.l1(core).lookup(line).map(|m| m.state) {
+        c.inc(c.ids().l1d_hit);
+        let mut t = t_l1;
+        if store {
+            if state != LineState::Modified {
+                t = upgrade(c, core, line, t);
+            }
+            let modify = |a: &mut CacheArray| {
+                if let Some(m) = a.peek_mut(line) {
+                    m.state = LineState::Modified;
+                }
+            };
+            modify(c.l1(core));
+            modify(c.l2(core));
+            c.transition(core, LlcEvent::Touch(line));
+        }
+        return AccessOutcome {
+            complete: t,
+            level: HitLevel::L1,
+        };
+    }
+    c.inc(c.ids().l1d_miss);
+
+    let t_l2 = c.l2_port(core).serve(at).max(t_l1);
+    if let Some(state) = c.l2(core).lookup(line).map(|m| m.state) {
+        c.inc(c.ids().l2_hit);
+        let mut t = t_l2;
+        match (kind, state) {
+            (AccessKind::Store, LineState::Shared) => t = upgrade(c, core, line, t),
+            // Home is already Modified wherever a private copy is, so
+            // this Touch only adds the sharer.
+            (AccessKind::Store, LineState::Modified) => c.transition(core, LlcEvent::Touch(line)),
+            (AccessKind::Load, _) => c.transition(core, LlcEvent::FillSharer(line)),
+        }
+        fill_private(c, core, line, kind);
+        return AccessOutcome {
+            complete: t,
+            level: HitLevel::L2,
+        };
+    }
+    c.inc(c.ids().l2_miss);
+
+    let slice = slice_hash(line, c.cfg().slices);
+    let wire = round_trip(c.cfg(), core, slice);
+    let t_llc = c.slice_port(slice).serve(t_l2 + wire);
+    let (complete, level) = if let Some((state, sharers)) = c.home(line) {
+        c.inc(c.ids().llc_hit);
+        let mut t = t_llc;
+        let mut level = HitLevel::Llc;
+        if store {
+            t = lock_wait(c, line, t);
+        }
+        if c.remote_dirty(core, line, state, sharers) {
+            c.inc(c.ids().llc_dirty_snoop);
+            t += c.cfg().dirty_snoop_latency;
+            level = HitLevel::LlcRemoteDirty;
+        }
+        if store {
+            t = invalidate_others(c, core, slice, sharers, t);
+        }
+        (t, level)
+    } else {
+        c.inc(c.ids().llc_miss);
+        let t = c.dram().serve(dram_channel(line), t_llc);
+        c.inc(c.ids().dram_access);
+        (t, HitLevel::Dram)
+    };
+    c.transition(core, LlcEvent::Access(line, kind));
+    fill_private(c, core, line, kind);
+    AccessOutcome { complete, level }
+}
+
+/// Store upgrade from a non-exclusive private copy: a directory round
+/// trip that waits out any hardware lock and invalidates the other
+/// sharers.
+fn upgrade<C: AccessCtx>(c: &mut C, core: CoreId, line: LineAddr, at: Cycle) -> Cycle {
+    let slice = slice_hash(line, c.cfg().slices);
+    let t = at + round_trip(c.cfg(), core, slice) + Cycles(c.cfg().llc_latency.0 / 2);
+    let t = lock_wait(c, line, t);
+    let sharers = c.home(line).map_or(0, |(_, sharers)| sharers);
+    let t = invalidate_others(c, core, slice, sharers, t);
+    c.transition(core, LlcEvent::Upgrade(line));
+    t
+}
+
+/// A store waits for the HALO lock bit on `line` to clear, then
+/// re-issues its snoop-invalidate.
+fn lock_wait<C: AccessCtx>(c: &mut C, line: LineAddr, t: Cycle) -> Cycle {
+    match c.store_lock(line, t) {
+        Some(release) => {
+            c.inc(c.ids().store_lock_retry);
+            release + Cycles(4)
+        }
+        None => t,
+    }
+}
+
+/// Timing of invalidating every sharer but `core`; the invalidations
+/// themselves are part of the `Upgrade`/`Access` transition.
+fn invalidate_others<C: AccessCtx>(
+    c: &mut C,
+    core: CoreId,
+    slice: SliceId,
+    sharers: u64,
+    at: Cycle,
+) -> Cycle {
+    let others = sharers & !(1 << core.0);
+    if others == 0 {
+        return at;
+    }
+    c.inc(c.ids().coherence_invalidation);
+    invalidation_done(c.cfg(), slice, others, at)
+}
+
+/// Refills `line` into `core`'s L2 and L1 (a store leaves both copies
+/// Modified); a dirty victim is written back to its home. Clean
+/// evictions leave the directory's sharer mask conservatively stale —
+/// real directories are imprecise too, and the dirty-owner probe
+/// re-checks private tags.
+fn fill_private<C: AccessCtx>(c: &mut C, core: CoreId, line: LineAddr, kind: AccessKind) {
+    let fill = |a: &mut CacheArray| match a.peek_mut(line) {
+        Some(m) => {
+            if kind == AccessKind::Store {
+                m.state = LineState::Modified;
+            }
+            Eviction::None
+        }
+        None => a.insert(line, kind.fill_state()),
+    };
+    for ev in [fill(c.l2(core)), fill(c.l1(core))] {
+        if let Eviction::Dirty(victim) = ev {
+            c.inc(c.ids().private_writeback);
+            c.transition(core, LlcEvent::DirtyWb(victim));
         }
     }
 }

@@ -73,6 +73,37 @@ fn stream_on(
     outcome(&r, &sys, &dp)
 }
 
+/// The epoch executor's 4-core outputs on the `datapath()` workload,
+/// pinned by value as `(cycles, dirty_transfers)` per exact-match
+/// backend: no golden digest covers multi-core epoch runs, so a change
+/// to the memory protocol that shifts their timing or coherence
+/// traffic fails here.
+#[test]
+fn four_core_epoch_outputs_are_pinned() {
+    let fixed = [(123_166, 234), (121_260, 234), (129_301, 234)];
+    let streamed = [(102_658, 217), (101_108, 217), (106_535, 217)];
+    for ((backend, fixed), streamed) in TableBackend::all().into_iter().zip(fixed).zip(streamed) {
+        let (mut sys, mut dp) = datapath(backend, 4);
+        let r = dp.run_parallel(&mut sys, 600, 50, 2);
+        assert_eq!(
+            (r.cycles, r.dirty_transfers),
+            fixed,
+            "{} run_parallel",
+            backend.name()
+        );
+        let (mut sys, mut dp) = datapath(backend, 4);
+        let mut traffic = StreamingTrafficGen::new(StreamConfig::churn(2_000), 7);
+        let events: Vec<TrafficEvent> = (0..800).map(|_| traffic.next_event()).collect();
+        let r = dp.run_stream_parallel(&mut sys, events, 2);
+        assert_eq!(
+            (r.cycles, r.dirty_transfers),
+            streamed,
+            "{} run_stream_parallel",
+            backend.name()
+        );
+    }
+}
+
 #[test]
 fn scaling_run_is_threads_invariant() {
     let one = scaling_on(TableBackend::Cuckoo, 4, 1, 50);
