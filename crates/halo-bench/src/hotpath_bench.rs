@@ -15,7 +15,7 @@ use std::time::Instant;
 use halo_classify::PacketHeader;
 use halo_cpu::{build_sw_lookup, build_sw_lookup_into, Program, Scratch};
 use halo_mem::{AccessKind, Addr, CoreId, MachineConfig, MemorySystem, CACHE_LINE};
-use halo_sim::{Cycle, LatencyHistogram, SplitMix64};
+use halo_sim::{Cycle, LatencyHistogram, Stats};
 use halo_tables::{CuckooTable, FlowKey, LookupTrace};
 use halo_vswitch::{LookupBackend, SwitchConfig, VirtualSwitch};
 
@@ -38,6 +38,36 @@ pub struct HotpathRow {
     pub p95_cyc: u64,
     /// 99th-percentile per-op simulated latency (cycles).
     pub p99_cyc: u64,
+    /// Where the timed section's memory accesses were served; `None`
+    /// for rows that make no simulated access.
+    pub mix: Option<HitMix>,
+}
+
+/// Percent of a run's core memory accesses served at each level.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct HitMix {
+    /// Private L1 hits.
+    pub l1: f64,
+    /// Private L2 hits.
+    pub l2: f64,
+    /// LLC hits (clean or pulled out of a remote Modified copy).
+    pub llc: f64,
+    /// LLC misses served by DRAM.
+    pub dram: f64,
+}
+
+impl HitMix {
+    /// The mix of every core access `stats` counted.
+    fn from_stats(stats: &Stats) -> Self {
+        let total = (stats.counter("mem.load") + stats.counter("mem.store")).max(1) as f64;
+        let pct = |key: &str| 100.0 * stats.counter(key) as f64 / total;
+        HitMix {
+            l1: pct("l1d.hit"),
+            l2: pct("l2.hit"),
+            llc: pct("llc.hit"),
+            dram: pct("llc.miss"),
+        }
+    }
 }
 
 impl HotpathRow {
@@ -52,56 +82,52 @@ impl HotpathRow {
     }
 }
 
-/// Ops per timed round. Small enough to keep the op buffer and the
-/// outcomes L1-resident on the host.
+/// Ops per timed round. Small enough to keep the outcomes L1-resident
+/// on the host.
 const BATCH: usize = 256;
 
-/// Builds a deterministic access stream over a working set of `lines`
-/// cache lines starting at `base`: a SplitMix64-scrambled walk with one
-/// store per eight ops.
-fn build_ops(base: Addr, lines: u64, n: usize, seed: u64) -> Vec<(Addr, AccessKind)> {
-    let mut rng = SplitMix64::new(seed);
-    (0..n)
-        .map(|i| {
-            let line = rng.next_u64() % lines;
-            let kind = if i % 8 == 7 {
-                AccessKind::Store
-            } else {
-                AccessKind::Load
-            };
-            (base + line * CACHE_LINE, kind)
-        })
-        .collect()
+/// Op `i` of a memory profile's access stream over `lines` lines (a
+/// power of two) from `base`: a walk by an odd stride, which visits
+/// every line once per `lines` ops in an order with no short-range
+/// locality, with one store per eight ops. Under LRU a working set
+/// larger than a level therefore misses that level on every access.
+fn walk_op(base: Addr, lines: u64, i: u64) -> (Addr, AccessKind) {
+    const STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
+    let line = i.wrapping_mul(STRIDE) & (lines - 1);
+    let kind = if i % 8 == 7 {
+        AccessKind::Store
+    } else {
+        AccessKind::Load
+    };
+    (base + line * CACHE_LINE, kind)
 }
 
-/// Runs one memory profile: warm the working set once, then time `ops`
-/// chained accesses.
-fn mem_profile(profile: &'static str, lines: u64, ops: u64, seed: u64) -> HotpathRow {
+/// Runs one memory profile: walk the whole working set once to warm
+/// it, then time `ops` more chained accesses of the same walk.
+fn mem_profile(profile: &'static str, lines: u64, ops: u64) -> HotpathRow {
+    assert!(lines.is_power_of_two(), "the walk needs a power-of-two set");
     let mut sys = MemorySystem::new(MachineConfig::default());
     let base = sys.data_mut().alloc_lines(lines * CACHE_LINE);
-    // Warm-up pass: stream the working set once so the timed section
-    // measures the steady-state residency the profile is named after.
     let mut t = Cycle(0);
     for i in 0..lines {
-        t = sys
-            .access(CoreId(0), base + i * CACHE_LINE, AccessKind::Load, t)
-            .complete;
+        let (addr, kind) = walk_op(base, lines, i);
+        t = sys.access(CoreId(0), addr, kind, t).complete;
     }
     sys.clear_stats();
 
-    // A few distinct batches so successive rounds do not replay one
-    // address sequence verbatim; the timed loop itself is allocation-free.
-    let streams: Vec<Vec<(Addr, AccessKind)>> = (0..8)
-        .map(|i| build_ops(base, lines, BATCH, seed ^ (i as u64) << 32))
-        .collect();
+    // The stream is computed in place, so the timed loop is
+    // allocation-free and covers the working set however large it is.
     let mut out = Vec::with_capacity(BATCH);
     let rounds = ops / BATCH as u64;
     let mut round_start = t;
+    let mut i = lines;
     let t0 = Instant::now();
-    for round in 0..rounds {
+    for _ in 0..rounds {
         out.clear();
         round_start = t;
-        for &(addr, kind) in &streams[(round % 8) as usize] {
+        for _ in 0..BATCH {
+            let (addr, kind) = walk_op(base, lines, i);
+            i += 1;
             let o = sys.access(CoreId(0), addr, kind, t);
             t = o.complete;
             out.push(o);
@@ -127,6 +153,7 @@ fn mem_profile(profile: &'static str, lines: u64, ops: u64, seed: u64) -> Hotpat
         p50_cyc: hist.p50(),
         p95_cyc: hist.p95(),
         p99_cyc: hist.p99(),
+        mix: Some(HitMix::from_stats(sys.stats())),
     }
 }
 
@@ -144,6 +171,7 @@ fn vswitch_profile(packets: u64) -> HotpathRow {
             .expect("tuple sized for flows");
     }
     vs.warm_tables(&mut sys);
+    sys.clear_stats();
 
     let burst: Vec<PacketHeader> = (0..packets)
         .map(|i| headers[(i % flows) as usize])
@@ -170,6 +198,7 @@ fn vswitch_profile(packets: u64) -> HotpathRow {
         p50_cyc: hist.p50(),
         p95_cyc: hist.p95(),
         p99_cyc: hist.p99(),
+        mix: Some(HitMix::from_stats(sys.stats())),
     }
 }
 
@@ -218,6 +247,7 @@ fn swprog_profile(profile: &'static str, reuse: bool, ops: u64) -> HotpathRow {
         p50_cyc: 0,
         p95_cyc: 0,
         p99_cyc: 0,
+        mix: None,
     }
 }
 
@@ -230,12 +260,12 @@ pub fn run(quick: bool) -> Vec<HotpathRow> {
     // (512 lines), 1 MB L2, 32 MB LLC.
     vec![
         // Half the L1: every access after warm-up is an L1 hit.
-        mem_profile("l1", 256, 2_000_000 * scale, 0x1EAF),
+        mem_profile("l1", 256, 2_000_000 * scale),
         // 4 MB: 4x the L2, 1/8 of the LLC — the LLC-resident regime the
-        // paper's tables live in, and the tentpole's >=2x target.
-        mem_profile("llc", 65_536, 400_000 * scale, 0x11C),
+        // paper's tables live in.
+        mem_profile("llc", 65_536, 400_000 * scale),
         // 64 MB: 2x the LLC; the probe path plus eviction/back-inval.
-        mem_profile("dram", 1_048_576, 150_000 * scale, 0xD7A8),
+        mem_profile("dram", 1_048_576, 150_000 * scale),
         // Before/after pair for the vswitch micro-pass: per-packet
         // program allocation vs the pooled builder buffer.
         swprog_profile("swprog_alloc", false, 200_000 * scale),
@@ -255,9 +285,16 @@ pub fn to_json(rows: &[HotpathRow], quick: bool) -> String {
     ));
     s.push_str("  \"profiles\": [\n");
     for (i, r) in rows.iter().enumerate() {
+        let mix = r.mix.map_or("null".to_string(), |m| {
+            format!(
+                "{{\"l1\": {:.1}, \"l2\": {:.1}, \"llc\": {:.1}, \"dram\": {:.1}}}",
+                m.l1, m.l2, m.llc, m.dram
+            )
+        });
         s.push_str(&format!(
             "    {{\"profile\": \"{}\", \"unit\": \"{}\", \"ops\": {}, \"wall_s\": {:.4}, \
-             \"rate_per_s\": {:.0}, \"p50_cyc\": {}, \"p95_cyc\": {}, \"p99_cyc\": {}}}{}\n",
+             \"rate_per_s\": {:.0}, \"p50_cyc\": {}, \"p95_cyc\": {}, \"p99_cyc\": {}, \
+             \"hit_pct\": {}}}{}\n",
             r.profile,
             r.unit,
             r.ops,
@@ -266,6 +303,7 @@ pub fn to_json(rows: &[HotpathRow], quick: bool) -> String {
             r.p50_cyc,
             r.p95_cyc,
             r.p99_cyc,
+            mix,
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }
@@ -282,7 +320,7 @@ mod tests {
         // Tiny op counts: this is a smoke test of the harness shape,
         // not a measurement.
         let rows = vec![
-            mem_profile("l1", 64, 2_048, 1),
+            mem_profile("l1", 64, 2_048),
             swprog_profile("swprog_alloc", false, 512),
             swprog_profile("swprog_reuse", true, 512),
             vswitch_profile(16),
@@ -303,7 +341,7 @@ mod tests {
     fn percentiles_are_ordered_and_plausible() {
         // An L1-resident stream: every sampled access is a cheap hit,
         // so the spread between p50 and p99 stays tight and nonzero.
-        let r = mem_profile("l1", 64, 2_048, 7);
+        let r = mem_profile("l1", 64, 2_048);
         assert!(r.p50_cyc > 0);
         assert!(r.p50_cyc <= r.p95_cyc && r.p95_cyc <= r.p99_cyc);
         let v = vswitch_profile(32);
@@ -321,7 +359,19 @@ mod tests {
             p50_cyc: 0,
             p95_cyc: 0,
             p99_cyc: 0,
+            mix: None,
         };
         assert_eq!(r.rate(), 0.0);
+    }
+
+    #[test]
+    fn memory_rows_are_served_where_they_are_named() {
+        let l1 = mem_profile("l1", 64, 2_048).mix.unwrap();
+        assert!(l1.l1 > 99.0, "{l1:?}");
+        // Twice the default L2: the walk misses L2 on every access.
+        let llc = mem_profile("llc", 32_768, 2_048).mix.unwrap();
+        assert!(llc.llc > 99.0, "{llc:?}");
+        let sum = llc.l1 + llc.l2 + llc.llc + llc.dram;
+        assert!((sum - 100.0).abs() < 1e-9, "{llc:?}");
     }
 }

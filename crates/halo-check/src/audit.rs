@@ -47,6 +47,9 @@ fn violation(invariant: &'static str, detail: String) -> Violation {
 ///   clean private eviction does not notify the LLC), so the check is
 ///   holders ⊆ sharers, never equality.
 /// * **single-owner** — at most one core holds a line Modified.
+/// * **owner** — the directory's owner of every LLC line is the core
+///   holding it Modified in its private L1/L2, and a line with no owner
+///   is Modified in no private cache.
 /// * **lock-flag** — the per-line hardware lock bit agrees with the
 ///   lock table: a resident line is flagged iff an in-flight
 ///   accelerator op holds it.
@@ -65,7 +68,7 @@ pub fn audit_system(sys: &MemorySystem, now: Cycle) -> Vec<Violation> {
 
     // LLC pass: placement + a residency/directory/lock index for the
     // private-cache pass (built once; everything after is O(1) probes).
-    let mut llc: HashMap<LineAddr, (usize, u64, bool)> = HashMap::new();
+    let mut llc: HashMap<LineAddr, (usize, u64, bool, Option<usize>)> = HashMap::new();
     for s in 0..cfg.slices {
         for m in sys.llc_slice_lines(SliceId(s)) {
             let home = sys.home_slice(m.line);
@@ -78,7 +81,8 @@ pub fn audit_system(sys: &MemorySystem, now: Cycle) -> Vec<Violation> {
                     ),
                 ));
             }
-            if let Some((prev, _, _)) = llc.insert(m.line, (s, m.sharers, m.locked)) {
+            let entry = (s, m.sharers, m.locked, m.owner().map(|c| c.0));
+            if let Some((prev, ..)) = llc.insert(m.line, entry) {
                 out.push(violation(
                     "placement",
                     format!("line {:?} resident in slices {prev} and {s}", m.line),
@@ -87,7 +91,8 @@ pub fn audit_system(sys: &MemorySystem, now: Cycle) -> Vec<Violation> {
         }
     }
 
-    // Private-cache pass: inclusion, directory, single-owner.
+    // Private-cache pass: inclusion, directory, single-owner; then the
+    // directory owner against the Modified holder it found.
     let mut owner: HashMap<LineAddr, usize> = HashMap::new();
     for c in 0..cfg.cores {
         let core = halo_mem::CoreId(c);
@@ -102,7 +107,7 @@ pub fn audit_system(sys: &MemorySystem, now: Cycle) -> Vec<Violation> {
                         "inclusion",
                         format!("core {c} {level} holds {:?} absent from the LLC", m.line),
                     )),
-                    Some(&(_, sharers, _)) => {
+                    Some(&(_, sharers, ..)) => {
                         if sharers & (1 << c) == 0 {
                             out.push(violation(
                                 "directory",
@@ -130,9 +135,19 @@ pub fn audit_system(sys: &MemorySystem, now: Cycle) -> Vec<Violation> {
         }
     }
 
+    for (&line, &(.., recorded)) in &llc {
+        let held = owner.get(&line).copied();
+        if recorded != held {
+            out.push(violation(
+                "owner",
+                format!("line {line:?}: directory owner {recorded:?}, Modified in core {held:?}"),
+            ));
+        }
+    }
+
     // Lock pass: flags vs the lock table, orphans, and expiry.
     let locks: HashMap<LineAddr, Cycle> = sys.held_locks().collect();
-    for (&line, &(slice, _, flagged)) in &llc {
+    for (&line, &(slice, _, flagged, _)) in &llc {
         if flagged != locks.contains_key(&line) {
             out.push(violation(
                 "lock-flag",
@@ -516,6 +531,71 @@ mod tests {
             now = out.complete + Cycles(1);
         }
         assert_eq!(audit_system(&sys, now), vec![]);
+    }
+
+    /// Cores contending for a few hundred lines — past L2, so dirty
+    /// private evictions happen — with accelerator accesses and DMA
+    /// writes in between keep an exact directory owner throughout.
+    #[test]
+    fn contended_lines_keep_an_exact_owner() {
+        let mut sys = MemorySystem::new(MachineConfig::small());
+        let mut rng = halo_sim::SplitMix64::new(0x0C0DE);
+        let mut now = Cycle(0);
+        for i in 0..3_000u64 {
+            let addr = Addr((rng.next_u64() % 1_500) * 64);
+            let kind = if rng.next_u64().is_multiple_of(3) {
+                AccessKind::Store
+            } else {
+                AccessKind::Load
+            };
+            let out = match i % 50 {
+                7 => sys.accel_access(sys.home_slice(addr.line()), addr, kind, now),
+                19 => {
+                    sys.dma_write(addr);
+                    continue;
+                }
+                _ => sys.access(CoreId((rng.next_u64() % 4) as usize), addr, kind, now),
+            };
+            now = out.complete + Cycles(1);
+            if i % 100 == 99 {
+                assert_eq!(audit_system(&sys, now), vec![], "after op {i}");
+            }
+        }
+        let dirty = sys.stats().counter("llc.dirty_snoop");
+        assert!(dirty > 0, "no remote-dirty transfer exercised");
+        assert!(sys.stats().counter("private.writeback") > 0);
+    }
+
+    /// The same contention split into epoch windows: four shards store
+    /// to and load shared lines, and every merge leaves an exact owner.
+    #[test]
+    fn epoch_merges_keep_an_exact_owner() {
+        use halo_mem::CoreMem;
+        let mut sys = MemorySystem::new(MachineConfig::small());
+        let mut rng = halo_sim::SplitMix64::new(0xE60C);
+        let mut clocks = [Cycle(0); 4];
+        for window in 0..40 {
+            let mut fleet = sys.epoch_split(4);
+            for (shard, t) in fleet.iter_mut().zip(&mut clocks) {
+                for _ in 0..80 {
+                    let addr = Addr((rng.next_u64() % 1_500) * 64);
+                    let kind = if rng.next_u64().is_multiple_of(3) {
+                        AccessKind::Store
+                    } else {
+                        AccessKind::Load
+                    };
+                    *t = shard.access(shard.core(), addr, kind, *t).complete;
+                }
+            }
+            let out = fleet.into_iter().map(halo_mem::EpochCore::finish).collect();
+            sys.epoch_merge(out);
+            assert_eq!(
+                audit_system(&sys, Cycle(0)),
+                vec![],
+                "after window {window}"
+            );
+        }
+        assert!(sys.stats().counter("llc.dirty_snoop") > 0);
     }
 
     #[test]

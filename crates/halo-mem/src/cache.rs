@@ -15,7 +15,7 @@
 //! and carries no `Option` branching — the same discipline the paper's
 //! bucket layouts apply to the simulated machine.
 
-use crate::addr::LineAddr;
+use crate::addr::{CoreId, LineAddr};
 use crate::config::CacheGeometry;
 
 /// Tag value marking an invalid (empty) way. Line addresses are byte
@@ -47,18 +47,41 @@ pub struct LineMeta {
     /// HALO hardware lock bit (LLC only): set while an accelerator query
     /// holds the line; modifications are refused until cleared.
     pub locked: bool,
+    /// The core whose private L1/L2 holds the line Modified (LLC
+    /// directory only). A byte, so the metadata stays within 32 bytes.
+    owner: Option<u8>,
 }
 
+const _: () = assert!(std::mem::size_of::<LineMeta>() <= 32);
+
 impl LineMeta {
-    /// Placeholder stored behind invalid tags.
-    fn invalid() -> Self {
+    /// A line in `state` with no sharers, no owner and no lock.
+    pub(crate) fn new(line: LineAddr, state: LineState) -> Self {
         LineMeta {
-            line: LineAddr(TAG_INVALID),
-            state: LineState::Shared,
+            line,
+            state,
             lru: 0,
             sharers: 0,
             locked: false,
+            owner: None,
         }
+    }
+
+    /// Placeholder stored behind invalid tags.
+    fn invalid() -> Self {
+        LineMeta::new(LineAddr(TAG_INVALID), LineState::Shared)
+    }
+
+    /// The core whose private caches hold the line Modified, if any
+    /// (LLC directory only).
+    #[must_use]
+    pub fn owner(&self) -> Option<CoreId> {
+        self.owner.map(|c| CoreId(c.into()))
+    }
+
+    /// Records the directory's owner.
+    pub(crate) fn set_owner(&mut self, owner: Option<CoreId>) {
+        self.owner = owner.map(|c| u8::try_from(c.0).expect("core id fits the directory"));
     }
 }
 
@@ -69,8 +92,7 @@ pub enum Eviction {
     None,
     /// A clean line was silently dropped.
     Clean(LineAddr),
-    /// A dirty line must be written back; carries its sharers mask so
-    /// inclusive caches can back-invalidate.
+    /// A dirty line must be written back.
     Dirty(LineAddr),
 }
 
@@ -170,11 +192,8 @@ impl CacheArray {
         let tick = self.tick;
         let range = self.set_range(line);
         let meta = LineMeta {
-            line,
-            state,
             lru: tick,
-            sharers: 0,
-            locked: false,
+            ..LineMeta::new(line, state)
         };
         // One pass over the set: take the first free way, tracking the
         // LRU victim among unlocked ways (and among all ways as the

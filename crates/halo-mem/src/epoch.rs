@@ -36,12 +36,12 @@ use crate::cache::{CacheArray, LineMeta, LineState};
 use crate::config::MachineConfig;
 use crate::memory::SimMemory;
 use crate::system::{
-    core_access, slice_hash, AccessCtx, AccessKind, AccessOutcome, LlcEvent, MemStatIds,
-    MemorySystem,
+    core_access, holds_modified, slice_hash, AccessCtx, AccessKind, AccessOutcome, LlcEvent,
+    MemStatIds, MemorySystem,
 };
 use halo_sim::{BankedResource, Cycle, Resource, StatId, Stats};
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// A byte-addressed backing store: the seam between table/EMC code and
 /// whether it runs against the real [`SimMemory`] or a per-core
@@ -243,14 +243,14 @@ impl CoreMem for MemorySystem {
 /// (no LRU perturbation). The overlay models no capacity or eviction —
 /// within one window the LLC is treated as unbounded; real install and
 /// eviction happen at the merge (a documented, deterministic deviation).
+/// A line's owner is the frozen one as this core's own transitions
+/// left it: a load that pulled it out of another core's Modified copy
+/// leaves it unowned, so that core is charged once.
 #[derive(Debug)]
 struct LlcView<'a> {
     base: &'a [CacheArray],
     slices: usize,
     overlay: HashMap<u64, LineMeta>,
-    /// Lines whose remote dirty owner was already charged (and logically
-    /// downgraded) within this window.
-    snooped: HashSet<u64>,
 }
 
 impl<'a> LlcView<'a> {
@@ -259,7 +259,6 @@ impl<'a> LlcView<'a> {
             base,
             slices,
             overlay: HashMap::new(),
-            snooped: HashSet::new(),
         }
     }
 
@@ -271,13 +270,17 @@ impl<'a> LlcView<'a> {
     }
 
     /// Mutable overlay entry for `line`, copied from the frozen base on
-    /// first touch; `None` if the line is resident nowhere.
-    fn entry(&mut self, line: LineAddr) -> Option<&mut LineMeta> {
+    /// first touch. A line resident nowhere is installed in state `fill`
+    /// (an LLC miss's fill), or is `None` without one.
+    fn entry(&mut self, line: LineAddr, fill: Option<LineState>) -> Option<&mut LineMeta> {
         match self.overlay.entry(line.0) {
             Entry::Occupied(e) => Some(e.into_mut()),
             Entry::Vacant(v) => {
-                let m = self.base[slice_hash(line, self.slices).0].peek(line)?;
-                Some(v.insert(m.clone()))
+                let m = match self.base[slice_hash(line, self.slices).0].peek(line) {
+                    Some(m) => m.clone(),
+                    None => LineMeta::new(line, fill?),
+                };
+                Some(v.insert(m))
             }
         }
     }
@@ -380,43 +383,20 @@ impl AccessCtx for EpochCore<'_> {
     fn dram(&mut self) -> &mut BankedResource {
         &mut self.dram
     }
-    fn home(&self, line: LineAddr) -> Option<(LineState, u64)> {
-        self.llc.probe(line).map(|m| (m.state, m.sharers))
-    }
-    /// The other cores' private tags are out of this shard's reach, so
-    /// the directory stands in: home Modified with another sharer,
-    /// charged once per line per window (documented deviation — the
-    /// merge downgrades the owner found in the real tags).
-    fn remote_dirty(
-        &mut self,
-        core: CoreId,
-        line: LineAddr,
-        state: LineState,
-        sharers: u64,
-    ) -> bool {
-        state == LineState::Modified
-            && sharers & !(1 << core.0) != 0
-            && self.llc.snooped.insert(line.0)
+    fn home(&self, line: LineAddr) -> Option<(u64, Option<CoreId>)> {
+        self.llc.probe(line).map(|m| (m.sharers, m.owner()))
     }
     /// `epoch_split` asserts the lock table is empty, so no store waits.
     fn store_lock(&mut self, _: LineAddr, _: Cycle) -> Option<Cycle> {
         None
     }
     fn transition(&mut self, core: CoreId, ev: LlcEvent) {
-        match self.llc.entry(ev.line()) {
-            Some(meta) => ev.update(meta, core),
-            None => {
-                if let LlcEvent::Access(line, kind) = ev {
-                    let meta = LineMeta {
-                        line,
-                        state: kind.fill_state(),
-                        lru: 0,
-                        sharers: 1 << core.0,
-                        locked: false,
-                    };
-                    self.llc.overlay.insert(line.0, meta);
-                }
-            }
+        let fill = match ev {
+            LlcEvent::Access(_, kind) => Some(kind.fill_state()),
+            _ => None,
+        };
+        if let Some(meta) = self.llc.entry(ev.line(), fill) {
+            ev.update(meta, core);
         }
         self.events.push(ev);
     }
@@ -519,6 +499,18 @@ impl MemorySystem {
         for out in outcomes {
             for &ev in &out.events {
                 self.apply(out.core, ev);
+            }
+            // A store transition makes the core the owner, but an earlier
+            // core's transition at this barrier may have invalidated or
+            // downgraded the copy it stored to: that copy has left.
+            for &ev in &out.events {
+                if let LlcEvent::Upgrade(line) | LlcEvent::Access(line, AccessKind::Store) = ev {
+                    if !holds_modified(self, out.core, line)
+                        && self.home(line).is_some_and(|(_, o)| o == Some(out.core))
+                    {
+                        self.apply(out.core, LlcEvent::DirtyWb(line));
+                    }
+                }
             }
             for (line, bytes) in out.delta {
                 self.mem.write_bytes(Addr(line * CACHE_LINE), &bytes);
@@ -691,7 +683,7 @@ mod tests {
 
     /// A window's directory view is what the merge makes of the master:
     /// after each single-core window, every line reads the same home
-    /// `(state, sharers)` through the shard as through the merged
+    /// `(state, sharers, owner)` through the shard as through the merged
     /// system (below LLC capacity, where the merge evicts nothing). The
     /// identity test above cannot see the view, because one core's
     /// timing never consults other sharers.
@@ -700,11 +692,12 @@ mod tests {
         for lines in [100u64, 600, 3_000] {
             let mut s = sys();
             let base = s.data_mut().alloc_lines(64 * lines);
-            let homes = |ctx: &dyn Fn(LineAddr) -> Option<(LineState, u64)>| {
+            let homes = |ctx: &dyn Fn(LineAddr) -> Option<(LineState, u64, Option<CoreId>)>| {
                 (0..lines)
                     .map(|i| ctx((base + i * 64).line()))
                     .collect::<Vec<_>>()
             };
+            let key = |m: &LineMeta| (m.state, m.sharers, m.owner());
             let mut t = Cycle(0);
             for chunk in stream(lines, 2_000).chunks(500) {
                 let mut fleet = s.epoch_split(1);
@@ -713,12 +706,131 @@ mod tests {
                         .access(CoreId(0), base + line * 64, kind, t)
                         .complete;
                 }
-                let view = homes(&|l| fleet[0].home(l));
+                let view = homes(&|l| fleet[0].llc.probe(l).map(key));
                 let out: Vec<_> = fleet.into_iter().map(EpochCore::finish).collect();
                 s.epoch_merge(out);
-                assert_eq!(view, homes(&|l| s.home(l)), "{lines} lines");
+                let master = homes(&|l| s.llc[s.home_slice(l).0].peek(l).map(key));
+                assert_eq!(view, master, "{lines} lines");
             }
         }
+    }
+
+    /// One op of a cross-core scenario: `(window, core, line, kind)`.
+    type Op = (usize, usize, u64, AccessKind);
+
+    /// Runs `ops` on three cores as one dependent chain, classically, or
+    /// with each run of equal window numbers as one epoch window over
+    /// three shards. Returns every op's level and the dirty transfers.
+    fn run_three_cores(ops: &[Op], windowed: bool) -> (Vec<HitLevel>, u64) {
+        let mut s = sys();
+        let mut t = Cycle(0);
+        let mut levels = Vec::with_capacity(ops.len());
+        let mut record = |o: AccessOutcome, t: &mut Cycle| {
+            *t = o.complete;
+            levels.push(o.level);
+        };
+        if windowed {
+            for window in ops.chunk_by(|a, b| a.0 == b.0) {
+                let mut fleet = s.epoch_split(3);
+                for &(_, core, line, kind) in window {
+                    record(
+                        fleet[core].access(CoreId(core), Addr(line * 64), kind, t),
+                        &mut t,
+                    );
+                }
+                let out: Vec<_> = fleet.into_iter().map(EpochCore::finish).collect();
+                s.epoch_merge(out);
+            }
+        } else {
+            for &(_, core, line, kind) in ops {
+                record(s.access(CoreId(core), Addr(line * 64), kind, t), &mut t);
+            }
+        }
+        (levels, s.stats().counter("llc.dirty_snoop"))
+    }
+
+    /// Core 1 stores X and core 2 loads it, pulling it out of core 1's
+    /// Modified copy; core 0's later load finds X owned by nobody and is
+    /// served clean, in a window as classically.
+    #[test]
+    fn downgraded_line_is_clean_in_a_later_window() {
+        const X: u64 = 1_024;
+        let ops = [
+            (0, 1, X, AccessKind::Store),
+            (1, 2, X, AccessKind::Load),
+            (2, 0, X, AccessKind::Load),
+        ];
+        let classic = run_three_cores(&ops, false);
+        let levels = [HitLevel::Dram, HitLevel::LlcRemoteDirty, HitLevel::Llc];
+        assert_eq!(classic, (levels.to_vec(), 1));
+        assert_eq!(run_three_cores(&ops, true), classic);
+    }
+
+    /// Core 1 stores X and Y. Four loads that share X's L1 set but not
+    /// its L2 set evict X's dirty L1 copy while L2 still holds it
+    /// Modified, so core 2's load of X is a dirty transfer. Eight loads
+    /// that share Y's L1 and L2 sets evict both of Y's Modified copies,
+    /// so core 0's load of Y is served clean. Both hold in a window as
+    /// classically (`MachineConfig::small`: 32 4-way L1 sets, 128 8-way
+    /// L2 sets).
+    #[test]
+    fn dirty_evictions_clear_the_owner_with_the_last_modified_copy() {
+        const X: u64 = 1_024;
+        const Y: u64 = X + 1;
+        let mut ops = vec![(0, 1, X, AccessKind::Store), (0, 1, Y, AccessKind::Store)];
+        for k in [1, 2, 3, 5] {
+            ops.push((0, 1, X + 32 * k, AccessKind::Load));
+        }
+        for k in 1..=8 {
+            ops.push((0, 1, Y + 128 * k, AccessKind::Load));
+        }
+        ops.push((1, 2, X, AccessKind::Load));
+        ops.push((1, 0, Y, AccessKind::Load));
+        let classic = run_three_cores(&ops, false);
+        assert_eq!(
+            classic.0[ops.len() - 2..],
+            [HitLevel::LlcRemoteDirty, HitLevel::Llc]
+        );
+        assert_eq!(classic.1, 1);
+        assert_eq!(run_three_cores(&ops, true), classic);
+    }
+
+    /// Core 2 pulls X out of core 1's Modified copy, loses its own copy
+    /// to eight loads sharing X's L1 and L2 sets, and loads X again in
+    /// the same window: the load downgraded the owner in the window's
+    /// view, so the reload is clean, as classically.
+    #[test]
+    fn a_window_charges_a_remote_owner_once() {
+        const X: u64 = 1_024;
+        let mut ops = vec![(0, 1, X, AccessKind::Store), (1, 2, X, AccessKind::Load)];
+        for k in 1..=8 {
+            ops.push((1, 2, X + 128 * k, AccessKind::Load));
+        }
+        ops.push((1, 2, X, AccessKind::Load));
+        let classic = run_three_cores(&ops, false);
+        assert_eq!(classic.0[ops.len() - 1], HitLevel::Llc);
+        assert_eq!(classic.1, 1);
+        assert_eq!(run_three_cores(&ops, true), classic);
+    }
+
+    /// Cores 0 and 1 both store X, which they share, in one window: at
+    /// the merge each one's upgrade invalidates the other's copy, so no
+    /// core holds X afterwards and core 2's next load is clean. (Run
+    /// classically, core 1 would still own X; a window cannot see a
+    /// store another core makes inside it.)
+    #[test]
+    fn same_window_stores_leave_the_line_unowned() {
+        const X: u64 = 1_024;
+        let ops = [
+            (0, 0, X, AccessKind::Load),
+            (0, 1, X, AccessKind::Load),
+            (1, 0, X, AccessKind::Store),
+            (1, 1, X, AccessKind::Store),
+            (2, 2, X, AccessKind::Load),
+        ];
+        let (levels, dirty) = run_three_cores(&ops, true);
+        assert_eq!(levels[2..], [HitLevel::L1, HitLevel::L1, HitLevel::Llc]);
+        assert_eq!(dirty, 0);
     }
 
     /// Two cores, two threads vs. inline: the merged master state and

@@ -142,7 +142,6 @@ pub(crate) struct MemStatIds {
     pub(crate) accel_llc_miss: StatId,
     pub(crate) hw_lock_set: StatId,
     pub(crate) dma_write: StatId,
-    pub(crate) flush_private: StatId,
     pub(crate) fault_force_evict: StatId,
     pub(crate) llc_writeback: StatId,
     pub(crate) llc_back_inval: StatId,
@@ -170,7 +169,6 @@ impl MemStatIds {
             accel_llc_miss: stats.counter_id("accel.llc_miss"),
             hw_lock_set: stats.counter_id("hw_lock.set"),
             dma_write: stats.counter_id("dma.write"),
-            flush_private: stats.counter_id("flush.private"),
             fault_force_evict: stats.counter_id("fault.force_evict"),
             llc_writeback: stats.counter_id("llc.writeback"),
             llc_back_inval: stats.counter_id("llc.back_inval"),
@@ -472,11 +470,14 @@ impl MemorySystem {
             self.slice_port[home.0].serve_with_latency(at + wire, self.cfg.accel_local_latency)
         };
 
-        if let Some(sharers) = self.llc[home.0].lookup(line).map(|m| m.sharers) {
+        if let Some((sharers, owner)) = self.llc[home.0]
+            .lookup(line)
+            .map(|m| (m.sharers, m.owner()))
+        {
             self.stats.inc(self.ids.accel_llc_hit);
             let mut t = t_arr;
             let mut level = HitLevel::Llc;
-            if let Some(owner) = self.dirty_owner(line, sharers) {
+            if let Some(owner) = owner {
                 self.stats.inc(self.ids.llc_dirty_snoop);
                 t += self.cfg.dirty_snoop_latency;
                 level = HitLevel::LlcRemoteDirty;
@@ -573,29 +574,15 @@ impl MemorySystem {
     /// off the critical path.
     pub fn dma_write(&mut self, addr: Addr) {
         let line = addr.line();
-        for c in 0..self.cfg.cores {
-            self.l1d[c].invalidate(line);
-            self.l2[c].invalidate(line);
-        }
+        self.invalidate_private(!0, line);
+        self.warm_llc(addr);
         let slice = self.home_slice(line);
-        if self.llc[slice.0].peek(line).is_none() {
-            self.llc_install_untracked(slice, line);
-        }
         if let Some(meta) = self.llc[slice.0].peek_mut(line) {
             meta.state = LineState::Modified;
             meta.sharers = 0;
+            meta.set_owner(None);
         }
         self.stats.inc(self.ids.dma_write);
-    }
-
-    /// Drops every line from `core`'s private caches. Sharer masks in the
-    /// directory are left conservatively stale (as on any clean private
-    /// eviction); the dirty-owner probe re-checks private tags, so
-    /// correctness is unaffected.
-    pub fn flush_private(&mut self, core: CoreId) {
-        self.l1d[core.0].clear();
-        self.l2[core.0].clear();
-        self.stats.inc(self.ids.flush_private);
     }
 
     /// Drops all cached state everywhere (data is unaffected).
@@ -672,10 +659,7 @@ impl MemorySystem {
     /// plus lock release); data in [`SimMemory`] is untouched.
     pub fn force_evict(&mut self, addr: Addr) {
         let line = addr.line();
-        for c in 0..self.cfg.cores {
-            self.l1d[c].invalidate(line);
-            self.l2[c].invalidate(line);
-        }
+        self.invalidate_private(!0, line);
         let slice = self.home_slice(line);
         self.llc[slice.0].invalidate(line);
         self.locks.remove(line);
@@ -702,39 +686,25 @@ impl MemorySystem {
         }
     }
 
-    /// The first core in `sharers` whose private L1 or L2 holds `line`
-    /// Modified.
-    fn dirty_owner(&self, line: LineAddr, sharers: u64) -> Option<CoreId> {
-        (0..self.cfg.cores)
-            .filter(|&c| sharers & (1 << c) != 0)
-            .find(|&c| {
-                [&self.l1d[c], &self.l2[c]]
-                    .iter()
-                    .any(|a| a.peek(line).is_some_and(|m| m.state == LineState::Modified))
-            })
-            .map(CoreId)
-    }
-
     /// Applies one home-side transition of `core`'s access to the master:
     /// the LLC directory and the *other* cores' private caches. The only
     /// code that does so for core accesses — the classic path calls it as
     /// each transition happens, [`epoch_merge`](Self::epoch_merge) at the
     /// barrier for each queued one. Request-level stats belong to the
-    /// access body; only LLC-eviction effects are counted here.
+    /// access body; only LLC-eviction effects are counted here. An
+    /// `Access` that misses installs the line, which then takes the same
+    /// transition as a hit.
     pub(crate) fn apply(&mut self, core: CoreId, ev: LlcEvent) {
         let line = ev.line();
         let slice = self.home_slice(line).0;
         if let LlcEvent::Access(_, kind) = ev {
-            let Some(sharers) = self.llc[slice].lookup(line).map(|m| m.sharers) else {
-                let victim = self.llc[slice].insert(line, kind.fill_state());
-                self.handle_llc_eviction(victim);
-                if let Some(meta) = self.llc[slice].peek_mut(line) {
-                    meta.sharers = 1 << core.0;
+            match self.llc[slice].lookup(line).map(|m| m.owner()) {
+                None => {
+                    let victim = self.llc[slice].insert(line, kind.fill_state());
+                    self.handle_llc_eviction(victim);
                 }
-                return;
-            };
-            if let Some(owner) = self.dirty_owner(line, sharers).filter(|&o| o != core) {
-                self.downgrade_owner(owner, line);
+                Some(Some(owner)) if owner != core => self.downgrade_owner(owner, line),
+                Some(_) => {}
             }
         }
         let Some(meta) = self.llc[slice].peek_mut(line) else {
@@ -788,6 +758,8 @@ impl MemorySystem {
         }
     }
 
+    /// Pulls `line` out of `owner`'s Modified private copies: they
+    /// become Shared and home holds the latest data, owned by no core.
     fn downgrade_owner(&mut self, owner: CoreId, line: LineAddr) {
         if let Some(m) = self.l1d[owner.0].peek_mut(line) {
             m.state = LineState::Shared;
@@ -797,7 +769,8 @@ impl MemorySystem {
         }
         let slice = self.home_slice(line);
         if let Some(meta) = self.llc[slice.0].peek_mut(line) {
-            meta.state = LineState::Modified; // LLC now holds latest data
+            meta.state = LineState::Modified;
+            meta.set_owner(None);
         }
     }
 }
@@ -813,20 +786,23 @@ impl MemorySystem {
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum LlcEvent {
     /// Store hit on a private copy that is (now) Modified: home meta
-    /// becomes Modified with this core added to the sharer set.
+    /// becomes Modified with this core added to the sharer set. The
+    /// core already owns the line, so the owner stays as it is.
     Touch(LineAddr),
     /// Store upgrade from a non-exclusive private copy: other sharers'
     /// private copies are invalidated; home meta becomes exclusively
-    /// this core's, Modified.
+    /// this core's, Modified and owned by it.
     Upgrade(LineAddr),
     /// Load refill from an L2 hit: this core joins the sharer set.
     FillSharer(LineAddr),
     /// A home-slice walk (L2 miss): install on a miss (with inclusive
     /// eviction); on a hit, downgrade a remote dirty owner, invalidate
-    /// other sharers for a store, and record this core.
+    /// other sharers for a store, and record this core (as the owner
+    /// for a store; a load leaves the line unowned).
     Access(LineAddr, AccessKind),
-    /// A dirty private-cache eviction wrote the line back: home meta
-    /// becomes Modified.
+    /// The core's last Modified copy left its private caches through a
+    /// dirty eviction: home meta becomes Modified and the core stops
+    /// owning the line.
     DirtyWb(LineAddr),
 }
 
@@ -853,9 +829,19 @@ impl LlcEvent {
             LlcEvent::Upgrade(_) | LlcEvent::Access(_, AccessKind::Store) => {
                 meta.state = LineState::Modified;
                 meta.sharers = me;
+                meta.set_owner(Some(core));
             }
-            LlcEvent::FillSharer(_) | LlcEvent::Access(_, AccessKind::Load) => meta.sharers |= me,
-            LlcEvent::DirtyWb(_) => meta.state = LineState::Modified,
+            LlcEvent::FillSharer(_) => meta.sharers |= me,
+            LlcEvent::Access(_, AccessKind::Load) => {
+                meta.sharers |= me;
+                meta.set_owner(None);
+            }
+            LlcEvent::DirtyWb(_) => {
+                meta.state = LineState::Modified;
+                if meta.owner() == Some(core) {
+                    meta.set_owner(None);
+                }
+            }
         }
     }
 }
@@ -874,17 +860,8 @@ pub(crate) trait AccessCtx {
     fn l2_port(&mut self, core: CoreId) -> &mut Resource;
     fn slice_port(&mut self, slice: SliceId) -> &mut Resource;
     fn dram(&mut self) -> &mut BankedResource;
-    /// The home directory's `(state, sharers)` for `line`, if resident.
-    fn home(&self, line: LineAddr) -> Option<(LineState, u64)>;
-    /// Whether an LLC hit by `core` must pull `line` out of another
-    /// core's Modified private copy, given the home `(state, sharers)`.
-    fn remote_dirty(
-        &mut self,
-        core: CoreId,
-        line: LineAddr,
-        state: LineState,
-        sharers: u64,
-    ) -> bool;
+    /// The home directory's `(sharers, owner)` for `line`, if resident.
+    fn home(&self, line: LineAddr) -> Option<(u64, Option<CoreId>)>;
     /// The release cycle of a hardware lock a store to `line` issued at
     /// `at` must wait for.
     fn store_lock(&mut self, line: LineAddr, at: Cycle) -> Option<Cycle>;
@@ -920,13 +897,9 @@ impl AccessCtx for MemorySystem {
     fn dram(&mut self) -> &mut BankedResource {
         &mut self.dram
     }
-    fn home(&self, line: LineAddr) -> Option<(LineState, u64)> {
+    fn home(&self, line: LineAddr) -> Option<(u64, Option<CoreId>)> {
         let meta = self.llc[self.home_slice(line).0].peek(line)?;
-        Some((meta.state, meta.sharers))
-    }
-    /// Probes the live private tags of the sharers.
-    fn remote_dirty(&mut self, core: CoreId, line: LineAddr, _: LineState, sharers: u64) -> bool {
-        self.dirty_owner(line, sharers).is_some_and(|o| o != core)
+        Some((meta.sharers, meta.owner()))
     }
     fn store_lock(&mut self, line: LineAddr, at: Cycle) -> Option<Cycle> {
         self.prune_lock(line, at)
@@ -1000,14 +973,14 @@ pub(crate) fn core_access<C: AccessCtx>(
     let slice = slice_hash(line, c.cfg().slices);
     let wire = round_trip(c.cfg(), core, slice);
     let t_llc = c.slice_port(slice).serve(t_l2 + wire);
-    let (complete, level) = if let Some((state, sharers)) = c.home(line) {
+    let (complete, level) = if let Some((sharers, owner)) = c.home(line) {
         c.inc(c.ids().llc_hit);
         let mut t = t_llc;
         let mut level = HitLevel::Llc;
         if store {
             t = lock_wait(c, line, t);
         }
-        if c.remote_dirty(core, line, state, sharers) {
+        if owner.is_some_and(|o| o != core) {
             c.inc(c.ids().llc_dirty_snoop);
             t += c.cfg().dirty_snoop_latency;
             level = HitLevel::LlcRemoteDirty;
@@ -1034,7 +1007,7 @@ fn upgrade<C: AccessCtx>(c: &mut C, core: CoreId, line: LineAddr, at: Cycle) -> 
     let slice = slice_hash(line, c.cfg().slices);
     let t = at + round_trip(c.cfg(), core, slice) + Cycles(c.cfg().llc_latency.0 / 2);
     let t = lock_wait(c, line, t);
-    let sharers = c.home(line).map_or(0, |(_, sharers)| sharers);
+    let sharers = c.home(line).map_or(0, |(sharers, _)| sharers);
     let t = invalidate_others(c, core, slice, sharers, t);
     c.transition(core, LlcEvent::Upgrade(line));
     t
@@ -1070,10 +1043,12 @@ fn invalidate_others<C: AccessCtx>(
 }
 
 /// Refills `line` into `core`'s L2 and L1 (a store leaves both copies
-/// Modified); a dirty victim is written back to its home. Clean
-/// evictions leave the directory's sharer mask conservatively stale —
-/// real directories are imprecise too, and the dirty-owner probe
-/// re-checks private tags.
+/// Modified). A dirty victim whose last Modified copy has left the core
+/// (an L1 victim usually still has one in L2) is written back to its
+/// home, which stops recording the core as its owner. Clean evictions
+/// leave the directory's sharer mask conservatively stale, as real
+/// directories are imprecise too; the owner, which alone decides a
+/// dirty transfer, stays exact.
 fn fill_private<C: AccessCtx>(c: &mut C, core: CoreId, line: LineAddr, kind: AccessKind) {
     let fill = |a: &mut CacheArray| match a.peek_mut(line) {
         Some(m) => {
@@ -1087,9 +1062,18 @@ fn fill_private<C: AccessCtx>(c: &mut C, core: CoreId, line: LineAddr, kind: Acc
     for ev in [fill(c.l2(core)), fill(c.l1(core))] {
         if let Eviction::Dirty(victim) = ev {
             c.inc(c.ids().private_writeback);
-            c.transition(core, LlcEvent::DirtyWb(victim));
+            if !holds_modified(c, core, victim) {
+                c.transition(core, LlcEvent::DirtyWb(victim));
+            }
         }
     }
+}
+
+/// Whether `core`'s private L1 or L2 holds `line` Modified.
+pub(crate) fn holds_modified<C: AccessCtx>(c: &mut C, core: CoreId, line: LineAddr) -> bool {
+    let modified =
+        |a: &mut CacheArray| a.peek(line).is_some_and(|m| m.state == LineState::Modified);
+    modified(c.l1(core)) || modified(c.l2(core))
 }
 
 #[cfg(test)]
@@ -1299,17 +1283,6 @@ mod tests {
         let r = s.access(CoreId(0), a, AccessKind::Load, Cycle(0));
         let out = s.snapshot_read(CoreId(0), a, r.complete);
         assert_eq!(out.level, HitLevel::L1);
-    }
-
-    #[test]
-    fn flush_private_forces_llc_reload() {
-        let mut s = sys();
-        let a = s.data_mut().alloc_lines(64);
-        let r = s.access(CoreId(0), a, AccessKind::Load, Cycle(0));
-        s.flush_private(CoreId(0));
-        assert!(!s.in_l1(CoreId(0), a));
-        let r2 = s.access(CoreId(0), a, AccessKind::Load, r.complete);
-        assert!(r2.level == HitLevel::Llc || r2.level == HitLevel::LlcRemoteDirty);
     }
 
     #[test]

@@ -81,7 +81,7 @@ fn stream_on(
 #[test]
 fn four_core_epoch_outputs_are_pinned() {
     let fixed = [(123_166, 234), (121_260, 234), (129_301, 234)];
-    let streamed = [(102_658, 217), (101_108, 217), (106_535, 217)];
+    let streamed = [(101_458, 167), (99_908, 167), (105_335, 167)];
     for ((backend, fixed), streamed) in TableBackend::all().into_iter().zip(fixed).zip(streamed) {
         let (mut sys, mut dp) = datapath(backend, 4);
         let r = dp.run_parallel(&mut sys, 600, 50, 2);
